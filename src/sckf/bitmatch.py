@@ -23,8 +23,8 @@ Lane capacity per word is ``63 // width``, not ``64 // width``: the top
 lane needs its carry bit to land inside the word, and keeping the total
 at or below bit 63 also means step 2 can never overflow the word.
 
-The ``*_many`` variants run the same steps on numpy uint64 arrays for the
-bulk query paths and the randomized oracle tests.
+``match_bits_many`` runs the same steps on numpy uint64 arrays for the bulk
+query path.
 """
 
 import numpy as np
@@ -102,38 +102,13 @@ def find_in_words(words, fingerprint: int, lane_constant: int, width: int) -> in
     return None
 
 
-def clear_lane(word: int, lane: int, width: int) -> int:
-    """Zero lane ``lane`` of ``word``."""
-    return word & ~(((1 << width) - 1) << (lane * width))
-
-
-def read_lane(word: int, lane: int, width: int) -> int:
-    return (word >> (lane * width)) & ((1 << width) - 1)
-
-
 def write_lane(word: int, lane: int, width: int, value: int) -> int:
     shift = lane * width
     return (word & ~(((1 << width) - 1) << shift)) | (value << shift)
 
 
-def pack_words(values, width: int) -> list[int]:
-    """Pack a slot sequence into lane-layout words (test/debug helper)."""
-    lanes = lanes_per_word(width)
-    words = [0] * ((len(values) + lanes - 1) // lanes) if values else []
-    for k, value in enumerate(values):
-        words[k // lanes] |= value << ((k % lanes) * width)
-    return words
-
-
-def unpack_words(words, width: int, count: int) -> list[int]:
-    """Inverse of pack_words."""
-    lanes = lanes_per_word(width)
-    ones = (1 << width) - 1
-    return [(words[k // lanes] >> ((k % lanes) * width)) & ones for k in range(count)]
-
-
 # ---------------------------------------------------------------------------
-# vectorized twins (bit-identical to the scalar forms, tested as such)
+# vectorized twin (bit-identical to the scalar form, tested as such)
 
 def match_bits_many(
     words: np.ndarray, fingerprints: np.ndarray, lane_constant: int, width: int
@@ -145,33 +120,6 @@ def match_bits_many(
     lane_c = np.uint64(lane_constant)
     q = w ^ ((fp ^ ones) * lane_c)
     return ((q + lane_c) ^ q ^ lane_c) & np.uint64((lane_constant << width) & MASK64)
-
-
-def find_fingerprint_many(
-    words: np.ndarray, fingerprints: np.ndarray, lane_constant: int, width: int
-) -> np.ndarray:
-    """First matching lane per element as int64, -1 where absent."""
-    r = match_bits_many(words, fingerprints, lane_constant, width)
-    low = r & (~r + np.uint64(1))
-    # lowest set bit is an exact power of two, so float64 log2 is exact
-    safe = np.where(low == 0, np.uint64(1), low)
-    position = np.log2(safe.astype(np.float64)).astype(np.int64)
-    lane = position // width - 1
-    return np.where(r == 0, np.int64(-1), lane)
-
-
-def naive_find_many(
-    words: np.ndarray, fingerprints: np.ndarray, width: int, lanes: int
-) -> np.ndarray:
-    """Vectorized per-lane reference for find_fingerprint_many."""
-    w = np.asarray(words, dtype=np.uint64)
-    fp = np.asarray(fingerprints, dtype=np.uint64)
-    ones = np.uint64((1 << width) - 1)
-    out = np.full(w.shape, -1, dtype=np.int64)
-    for i in range(lanes - 1, -1, -1):
-        lane_value = (w >> np.uint64(i * width)) & ones
-        out = np.where(lane_value == fp, np.int64(i), out)
-    return out
 
 
 def _check_width(width: int) -> None:

@@ -21,6 +21,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """A count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _list_of(convert):
+    """A comma-separated list flag whose items parse with ``convert``."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(part) for part in text.split(",") if part]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} list: {text!r}"
+            ) from None
+
+    return parse
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -46,20 +71,20 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fprate", help="measure false-positive rate vs bound")
     _common_flags(p)
-    p.add_argument("--queries", type=int, default=10**6)
-    p.add_argument("--seeds", type=int, default=10, help="number of seeds, counted up from --seed")
+    p.add_argument("--queries", type=_count, default=10**6)
+    p.add_argument("--seeds", type=_count, default=10, help="number of seeds, counted up from --seed")
     p.set_defaults(handler=_cmd_fprate)
 
     p = sub.add_parser("loadsweep", help="construction success across target loads")
     _common_flags(p, stash=False)
-    p.add_argument("--loads", default="0.5,0.6,0.7,0.8,0.9,0.95",
+    p.add_argument("--loads", type=_list_of(float), default="0.5,0.6,0.7,0.8,0.9,0.95",
                    help="comma-separated target loads")
     p.set_defaults(handler=_cmd_loadsweep)
 
     p = sub.add_parser("failsweep", help="construction failures across fingerprint widths")
     _common_flags(p, variant=False, subtables=False, stash=False, fingerprint=False)
     p.add_argument("--load", type=float, default=0.9)
-    p.add_argument("--fgrid", default="2,3,4,5,6,7,8,9,10",
+    p.add_argument("--fgrid", type=_list_of(int), default="2,3,4,5,6,7,8,9,10",
                    help="comma-separated fingerprint widths")
     p.set_defaults(handler=_cmd_failsweep)
 
@@ -70,7 +95,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bloom", help="Bloom-filter false-positive baseline")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--queries", type=int, default=10**6)
+    p.add_argument("--queries", type=_count, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     _output_flags(p)
     p.set_defaults(handler=_cmd_bloom)
@@ -92,7 +117,7 @@ def _common_flags(p, variant=True, subtables=True, stash=True, fingerprint=True)
         p.add_argument("--stash", type=int, default=0, help="stash capacity per subtable")
     if variant:
         p.add_argument("--variant", choices=("simplified", "original"), default="simplified")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     _output_flags(p)
 
@@ -160,12 +185,11 @@ def _cmd_fprate(args) -> int:
 
 
 def _cmd_loadsweep(args) -> int:
-    loads = [float(part) for part in args.loads.split(",") if part]
     records = harness.run_load_sweep(
         n=args.n,
         block_size=args.b,
         fingerprint_bits=args.f,
-        loads=loads,
+        loads=args.loads,
         trials=args.trials,
         base_seed=args.seed,
         variant=Variant(args.variant),
@@ -174,12 +198,11 @@ def _cmd_loadsweep(args) -> int:
 
 
 def _cmd_failsweep(args) -> int:
-    grid = [int(part) for part in args.fgrid.split(",") if part]
     records = harness.run_failure_sweep(
         n=args.n,
         block_size=args.b,
         load=args.load,
-        fingerprint_grid=grid,
+        fingerprint_grid=args.fgrid,
         trials=args.trials,
         base_seed=args.seed,
     )

@@ -191,10 +191,9 @@ class CuckooFilter:
         self._fp_modulus = (1 << f) - 1
         self._block_size = params.block_size
         self._n_cells = params.num_cells
-        self._lanes = 63 // f
+        self._lanes = bitmatch.lanes_per_word(f)
         self._words_per_block = -(-params.block_size // self._lanes)
         self._lane_const = bitmatch.make_lane_constant(f, self._lanes)
-        self._carry_mask = self._lane_const << f
         self._seed_fp = hashing.derive_seed(params.seed, _STREAM_FP)
         self._seed_home = hashing.derive_seed(params.seed, _STREAM_HOME)
         self._seed_alt = hashing.derive_seed(params.seed, _STREAM_ALT)
@@ -204,6 +203,7 @@ class CuckooFilter:
         self._stashes: list[list[tuple[int, int]]] = [[] for _ in range(params.num_subtables)]
         self._table_count = 0
         self._stash_count = 0
+        # original-variant offsets per fingerprint: builds repeat each one ~10x
         self._alt_memo: dict[int, int] = {}
 
     # -- membership ---------------------------------------------------------
@@ -253,11 +253,8 @@ class CuckooFilter:
         Equivalent to query(encode_u64(v)) for each v, evaluated with
         numpy over the whole array at once.
         """
-        values = np.asarray(values, dtype=np.uint64)
         f = self._f
-        homes = hashing.hash_u64_many(values, self._seed_home) % np.uint64(self._n_cells)
-        fps = hashing.hash_u64_many(values, self._seed_fp) % np.uint64(self._fp_modulus)
-        fps += np.uint64(1)
+        homes, fps = self.hash_many(values)
         if self._simplified:
             alts = homes ^ fps
         else:
@@ -266,7 +263,7 @@ class CuckooFilter:
             alts = homes ^ offsets
         words = np.array(self._words, dtype=np.uint64)
         per_block = np.uint64(self._words_per_block)
-        hits = np.zeros(values.shape, dtype=bool)
+        hits = np.zeros(homes.shape, dtype=bool)
         for k in range(self._words_per_block):
             offset = np.uint64(k)
             r1 = bitmatch.match_bits_many(
@@ -279,6 +276,18 @@ class CuckooFilter:
         if self._stash_count:
             hits |= self._stash_contains_many(homes, fps)
         return hits
+
+    def hash_many(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Global home cells and fingerprints of 64-bit counters.
+
+        Element-wise equal to the hash of encode_u64(v), so insert_hashed
+        on a pair behaves exactly like insert(encode_u64(v)).
+        """
+        values = np.asarray(values, dtype=np.uint64)
+        homes = hashing.hash_u64_many(values, self._seed_home) % np.uint64(self._n_cells)
+        fps = hashing.hash_u64_many(values, self._seed_fp) % np.uint64(self._fp_modulus)
+        fps += np.uint64(1)
+        return homes, fps
 
     def delete(self, element: bytes) -> bool:
         """Remove exactly one stored copy; False when none is present."""
@@ -359,6 +368,12 @@ class CuckooFilter:
                 return
         raise AssertionError("placement into a full cell")
 
+    def _clear(self, cell: int, slot: int) -> None:
+        """Empty one occupied slot."""
+        self._set_slot(cell, slot, 0)
+        self._occupancy[cell] -= 1
+        self._table_count -= 1
+
     def _cell_contains(self, cell: int, fingerprint: int) -> bool:
         base = cell * self._words_per_block
         for k in range(self._words_per_block):
@@ -379,9 +394,7 @@ class CuckooFilter:
         slot = self._find_slot(cell, fingerprint)
         if slot is None:
             return False
-        self._set_slot(cell, slot, 0)
-        self._occupancy[cell] -= 1
-        self._table_count -= 1
+        self._clear(cell, slot)
         return True
 
     def _stash_contains(self, home: int, fingerprint: int) -> bool:
@@ -446,14 +459,8 @@ class CuckooFilter:
             moves.append((entry[1][0], entry[2], entry[0]))
             entry = entry[1]
         for source, slot, destination in moves:
-            fp = self._slot(source, slot)
-            for free in range(self._block_size):
-                if self._slot(destination, free) == 0:
-                    self._set_slot(destination, free, fp)
-                    break
-            self._occupancy[destination] += 1
-            self._set_slot(source, slot, 0)
-            self._occupancy[source] -= 1
+            self._place(destination, self._slot(source, slot))
+            self._clear(source, slot)
         return entry[0]
 
     # -- serialization --------------------------------------------------------
@@ -597,6 +604,11 @@ class CuckooFilter:
                 if not 1 <= fp <= self._fp_mask or local > self._fp_mask:
                     raise SerializationError(
                         f"stash entry ({local}, {fp}) out of range for {self._f} bits"
+                    )
+                if self._canonical_local(local, fp) != local:
+                    # query and delete look the entry up by its canonical local
+                    raise SerializationError(
+                        f"stash entry ({local}, {fp}) is not keyed by its canonical local"
                     )
                 stash.append((local, fp))
                 self._stash_count += 1

@@ -157,14 +157,12 @@ def build_filter(
 def insert_members(filt: CuckooFilter, n: int) -> int:
     """Insert counters [0, n); returns how many were inserted before a
     failure (n means all landed, in table or stash)."""
-    values = member_values(n)
-    homes = hashing.hash_u64_many(values, filt._seed_home) % np.uint64(filt._n_cells)
-    fps = hashing.hash_u64_many(values, filt._seed_fp) % np.uint64(filt._fp_modulus)
+    homes, fps = filt.hash_many(member_values(n))
     insert = filt.insert_hashed
     failed = InsertOutcome.FAILED
     done = 0
     for home, fp in zip(homes.tolist(), fps.tolist()):
-        if insert(home, fp + 1) is failed:
+        if insert(home, fp) is failed:
             return done
         done += 1
     return done
@@ -238,6 +236,46 @@ def run_fp_experiment(
     return records
 
 
+def _construction_record(
+    experiment: str,
+    variant: Variant,
+    n: int,
+    block_size: int,
+    fingerprint_bits: int,
+    num_subtables: int,
+    trials: int,
+    base_seed: int,
+    bound: float,
+) -> TrialRecord:
+    """Build and fill one seeded filter per trial at a single geometry.
+
+    successes counts the trials in which all n members landed; measured
+    is their fraction.
+    """
+    start = time.perf_counter()
+    successes = 0
+    for trial in range(trials):
+        seed = hashing.hash_u64(trial, base_seed)
+        filt = build_filter(n, block_size, fingerprint_bits, num_subtables, seed, variant)
+        if insert_members(filt, n) == n:
+            successes += 1
+    return TrialRecord(
+        experiment=experiment,
+        variant=variant.value,
+        n=n,
+        b=block_size,
+        f=fingerprint_bits,
+        num_subtables=num_subtables,
+        stash_capacity=0,
+        seed=base_seed,
+        trials=trials,
+        successes=successes,
+        measured=successes / trials,
+        bound=bound,
+        wall_time_s=time.perf_counter() - start,
+    )
+
+
 def run_load_sweep(
     n: int,
     block_size: int,
@@ -256,31 +294,13 @@ def run_load_sweep(
     records = []
     guaranteed = _achievable_load(block_size)
     for load in loads:
-        start = time.perf_counter()
         subtables = subtables_for_load(n, block_size, fingerprint_bits, load)
         if variant is Variant.ORIGINAL:
             subtables = _next_power_of_two(subtables)
-        successes = 0
-        for trial in range(trials):
-            seed = hashing.hash_u64(trial, base_seed)
-            filt = build_filter(n, block_size, fingerprint_bits, subtables, seed, variant)
-            if insert_members(filt, n) == n:
-                successes += 1
         records.append(
-            TrialRecord(
-                experiment=f"loadsweep[{load:g}]",
-                variant=variant.value,
-                n=n,
-                b=block_size,
-                f=fingerprint_bits,
-                num_subtables=subtables,
-                stash_capacity=0,
-                seed=base_seed,
-                trials=trials,
-                successes=successes,
-                measured=successes / trials,
-                bound=guaranteed,
-                wall_time_s=time.perf_counter() - start,
+            _construction_record(
+                f"loadsweep[{load:g}]", variant, n, block_size, fingerprint_bits,
+                subtables, trials, base_seed, guaranteed,
             )
         )
     return records
@@ -308,32 +328,14 @@ def run_failure_sweep(
         2,
     )
     for bits in fingerprint_grid:
-        start = time.perf_counter()
         bound = n ** (-failure_exponent) if bits >= recommended else 1.0
         subtables = subtables_for_load(n, block_size, bits, load)
-        failures = 0
-        for trial in range(trials):
-            seed = hashing.hash_u64(trial, base_seed)
-            filt = build_filter(n, block_size, bits, subtables, seed)
-            if insert_members(filt, n) < n:
-                failures += 1
-        records.append(
-            TrialRecord(
-                experiment="failsweep",
-                variant=Variant.SIMPLIFIED.value,
-                n=n,
-                b=block_size,
-                f=bits,
-                num_subtables=subtables,
-                stash_capacity=0,
-                seed=base_seed,
-                trials=trials,
-                successes=trials - failures,
-                measured=failures / trials,
-                bound=bound,
-                wall_time_s=time.perf_counter() - start,
-            )
+        record = _construction_record(
+            "failsweep", Variant.SIMPLIFIED, n, block_size, bits,
+            subtables, trials, base_seed, bound,
         )
+        record.measured = (trials - record.successes) / trials
+        records.append(record)
     return records
 
 
@@ -354,33 +356,13 @@ def run_variant_compare(
         raise ValueError(
             f"variant comparison needs a power-of-two num_subtables, got {num_subtables}"
         )
-    records = []
-    for variant in (Variant.SIMPLIFIED, Variant.ORIGINAL):
-        start = time.perf_counter()
-        successes = 0
-        for trial in range(trials):
-            seed = hashing.hash_u64(trial, base_seed)
-            filt = build_filter(n, block_size, fingerprint_bits, num_subtables, seed, variant)
-            if insert_members(filt, n) == n:
-                successes += 1
-        records.append(
-            TrialRecord(
-                experiment="compare",
-                variant=variant.value,
-                n=n,
-                b=block_size,
-                f=fingerprint_bits,
-                num_subtables=num_subtables,
-                stash_capacity=0,
-                seed=base_seed,
-                trials=trials,
-                successes=successes,
-                measured=successes / trials,
-                bound=_achievable_load(block_size),
-                wall_time_s=time.perf_counter() - start,
-            )
+    return [
+        _construction_record(
+            "compare", variant, n, block_size, fingerprint_bits,
+            num_subtables, trials, base_seed, _achievable_load(block_size),
         )
-    return records
+        for variant in (Variant.SIMPLIFIED, Variant.ORIGINAL)
+    ]
 
 
 def bloom_baseline_rate(n: int, num_bits: int, queries: int, seed: int) -> TrialRecord:

@@ -1,8 +1,40 @@
-"""Shared test helpers: element encoding and an independent table oracle."""
+"""Shared test helpers: element encoding, a batch lane-match oracle pair,
+and an independent table oracle."""
 
 import random
 
+import numpy as np
+
+from sckf.bitmatch import match_bits_many
 from sckf.hashing import encode_u64
+
+
+def find_fingerprint_many(
+    words: np.ndarray, fingerprints: np.ndarray, lane_constant: int, width: int
+) -> np.ndarray:
+    """First matching lane per element as int64, -1 where absent, read off
+    the production match_bits_many carry bits."""
+    r = match_bits_many(words, fingerprints, lane_constant, width)
+    low = r & (~r + np.uint64(1))
+    # lowest set bit is an exact power of two, so float64 log2 is exact
+    safe = np.where(low == 0, np.uint64(1), low)
+    position = np.log2(safe.astype(np.float64)).astype(np.int64)
+    lane = position // width - 1
+    return np.where(r == 0, np.int64(-1), lane)
+
+
+def naive_find_many(
+    words: np.ndarray, fingerprints: np.ndarray, width: int, lanes: int
+) -> np.ndarray:
+    """Vectorized per-lane reference for find_fingerprint_many."""
+    w = np.asarray(words, dtype=np.uint64)
+    fp = np.asarray(fingerprints, dtype=np.uint64)
+    ones = np.uint64((1 << width) - 1)
+    out = np.full(w.shape, -1, dtype=np.int64)
+    for i in range(lanes - 1, -1, -1):
+        lane_value = (w >> np.uint64(i * width)) & ones
+        out = np.where(lane_value == fp, np.int64(i), out)
+    return out
 
 
 class BlockedCuckooTable:

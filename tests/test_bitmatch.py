@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import find_fingerprint_many
 from sckf import bitmatch
+
+
+def pack_words(values, width: int) -> list[int]:
+    """Pack a slot sequence into lane-layout words."""
+    lanes = bitmatch.lanes_per_word(width)
+    words = [0] * ((len(values) + lanes - 1) // lanes) if values else []
+    for k, value in enumerate(values):
+        words[k // lanes] |= value << ((k % lanes) * width)
+    return words
 
 
 def test_lane_constant_examples():
@@ -92,7 +102,7 @@ def test_vectorized_forms_match_scalar():
         constant = bitmatch.make_lane_constant(width, lanes)
         words = rng.integers(0, 1 << (lanes * width), size=5000, dtype=np.uint64)
         fps = rng.integers(1, 1 << width, size=5000, dtype=np.uint64)
-        batch = bitmatch.find_fingerprint_many(words, fps, constant, width)
+        batch = find_fingerprint_many(words, fps, constant, width)
         for i in range(words.size):
             scalar = bitmatch.find_fingerprint(int(words[i]), int(fps[i]), constant, width)
             assert batch[i] == (-1 if scalar is None else scalar)
@@ -106,21 +116,13 @@ def test_find_in_words_returns_lowest_slot():
     constant = bitmatch.make_lane_constant(width, lanes)
     slots = [0] * 10
     slots[9] = 0xAB
-    words = bitmatch.pack_words(slots, width)
+    words = pack_words(slots, width)
     assert len(words) == 2
     assert bitmatch.find_in_words(words, 0xAB, constant, width) == 9
     slots[2] = 0xAB
-    words = bitmatch.pack_words(slots, width)
+    words = pack_words(slots, width)
     assert bitmatch.find_in_words(words, 0xAB, constant, width) == 2
     assert bitmatch.find_in_words(words, 0xCD, constant, width) is None
-
-
-def test_pack_unpack_roundtrip():
-    rng = np.random.default_rng(3)
-    for width in (2, 5, 12, 31):
-        values = rng.integers(0, 1 << width, size=23).tolist()
-        words = bitmatch.pack_words(values, width)
-        assert bitmatch.unpack_words(words, width, len(values)) == values
 
 
 def test_lane_read_write_clear():
@@ -128,8 +130,8 @@ def test_lane_read_write_clear():
     word = 0
     word = bitmatch.write_lane(word, 0, width, 9)
     word = bitmatch.write_lane(word, 3, width, 33)
-    assert bitmatch.read_lane(word, 0, width) == 9
-    assert bitmatch.read_lane(word, 3, width) == 33
-    word = bitmatch.clear_lane(word, 0, width)
-    assert bitmatch.read_lane(word, 0, width) == 0
-    assert bitmatch.read_lane(word, 3, width) == 33
+    assert word == 9 | (33 << 18)
+    word = bitmatch.write_lane(word, 3, width, 5)
+    assert word == 9 | (5 << 18)
+    word = bitmatch.write_lane(word, 0, width, 0)
+    assert word == 5 << 18

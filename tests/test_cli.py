@@ -1,5 +1,6 @@
 """Command line surface: exit codes, output formats, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -45,7 +46,20 @@ def test_plan_infeasible_exits_two(capsys):
 
 def test_usage_error_exits_one(capsys):
     # argparse raises SystemExit on usage errors; the code must be 1
-    for argv in (["plan"], ["plan", "--n", "100", "--bogus"], ["nonsense"]):
+    bad = (
+        ["plan"],
+        ["plan", "--n", "100", "--bogus"],
+        ["nonsense"],
+        ["loadsweep", "--n", "100", "--f", "8", "--loads", "0.5,abc"],
+        ["failsweep", "--n", "100", "--fgrid", "2,x"],
+        ["fprate", "--n", "100", "--f", "8", "--queries", "0"],
+        ["fprate", "--n", "100", "--f", "8", "--seeds", "0"],
+        ["loadsweep", "--n", "100", "--f", "8", "--trials", "0"],
+        ["failsweep", "--n", "100", "--trials", "0"],
+        ["compare", "--n", "100", "--f", "8", "--trials", "0"],
+        ["bloom", "--n", "10", "--bits", "100", "--queries", "0"],
+    )
+    for argv in bad:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 1
@@ -91,6 +105,49 @@ def test_fprate_json_format(capsys):
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 1 and rows[0]["experiment"] == "fprate"
+
+
+# name: (SHA-256 of stdout, argv), recorded before the harness shared one
+# trial loop; covers both variants, stash use, and a construction-failure row
+GOLDEN_RUNS = {
+    "loadsweep-simplified": (
+        "4d6acf78599dc4f2e00c657d146709f5c308bfa2063aa96388685f09efbf4830",
+        ["loadsweep", "--n", "2000", "--b", "4", "--f", "6", "--loads", "0.5,0.9,0.98",
+         "--trials", "4"],
+    ),
+    "loadsweep-original": (
+        "a796caffdb7b5afb88c411e0c148ca2ec83b1182713051542c6ba60d825fdcf7",
+        ["loadsweep", "--n", "2000", "--b", "4", "--f", "6", "--loads", "0.5,0.9,0.98",
+         "--trials", "4", "--variant", "original"],
+    ),
+    "failsweep": (
+        "de021ce69b4dc043d42c08b8c214a29ea31ece5b8eb9a40d4f6d5fdc13dd67c5",
+        ["failsweep", "--n", "2000", "--b", "4", "--load", "0.95", "--fgrid", "2,3,4,6,10",
+         "--trials", "4", "--seed", "5"],
+    ),
+    "compare": (
+        "3ee968b5bd6b98e5022b13c9ebcbf1ed8b6765463fdf12b468c65955ee8d7d80",
+        ["compare", "--n", "2000", "--b", "4", "--f", "8", "--subtables", "2",
+         "--trials", "4", "--seed", "3"],
+    ),
+    "fprate-stash-json": (
+        "4174451086183b0d79044807825c05cda24443ee2ec2e4577afa538ea72ec0cf",
+        ["fprate", "--n", "1010", "--b", "4", "--f", "8", "--queries", "5000", "--seeds", "2",
+         "--seed", "1", "--stash", "2", "--format", "json"],
+    ),
+    "fprate-construction-failure": (
+        "859aa92d84a6ea7b0115a668f7e3fd6dd547add2518d99766f5e3ea7227e8a31",
+        ["fprate", "--n", "500", "--b", "1", "--f", "9", "--queries", "1000", "--seeds", "2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_output_matches_recorded_digest(name, capsys):
+    digest, argv = GOLDEN_RUNS[name]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_loadsweep_smoke(capsys):

@@ -341,6 +341,12 @@ def test_query_many_matches_scalar_queries():
     )
     assert np.array_equal(batch, scalar)
     assert batch[:2000].all()
+    original = make_filter(capacity=2000, num_subtables=2, variant=Variant.ORIGINAL, seed=9)
+    for hashed in (filt, original):
+        homes, fps = hashed.hash_many(values)
+        pairs = [hashed._hash(encode_u64(int(value))) for value in values]
+        assert homes.tolist() == [home for home, _ in pairs]
+        assert fps.tolist() == [fp for _, fp in pairs]
 
 
 def test_query_many_sees_stash_entries():

@@ -200,3 +200,20 @@ def test_stash_entry_out_of_range_rejected():
     payload[entry_at + 4 : entry_at + 8] = b"\x00\x00\x00\x00"  # zero fingerprint
     with pytest.raises(SerializationError, match="out of range"):
         CuckooFilter.from_bytes(bytes(payload))
+
+
+def test_stash_entry_off_its_canonical_local_rejected():
+    # stash lookups go by min(local, local ^ fp); an entry stored under the
+    # other local would load, count as stored, and never answer a query
+    filt = small_filter(
+        capacity=16, block_size=1, fingerprint_bits=4, num_subtables=1,
+        stash_capacity=4, seed=3,
+    )
+    for element in counters(0, 40):
+        filt.insert(element)
+    payload = bytearray(filt.to_bytes())
+    entry_at = HEADER_SIZE + table_bytes(filt) + 2
+    assert payload[entry_at : entry_at + 8] == (6).to_bytes(4, "little") + (1).to_bytes(4, "little")
+    payload[entry_at : entry_at + 4] = (7).to_bytes(4, "little")
+    with pytest.raises(SerializationError, match="canonical"):
+        CuckooFilter.from_bytes(bytes(payload))
