@@ -1,8 +1,9 @@
-"""Branch-free fingerprint search inside packed 64-bit words.
+"""Branch-free fingerprint search across the lanes of a packed block.
 
-A block of small fingerprints is stored as contiguous ``width``-bit lanes
-inside a 64-bit word.  Matching a fingerprint against every lane at once
-uses a four-step carry trick instead of a per-lane loop:
+A block of small fingerprints is stored as contiguous ``width``-bit lanes,
+lane i at bits [i * width, (i + 1) * width) of one integer.  Matching a
+fingerprint against every lane at once uses a four-step carry trick
+instead of a per-lane loop:
 
 1. Broadcast the complement of the sought fingerprint to every lane by
    multiplying it with the lane constant F (one bit set per lane).  XOR
@@ -19,24 +20,24 @@ whose value differs from the target only in its lowest bit, setting a
 spurious carry bit *above* the true match.  The lowest set bit is always a
 genuine match, so first-match semantics are unaffected.
 
-Lane capacity per word is ``63 // width``, not ``64 // width``: the top
-lane needs its carry bit to land inside the word, and keeping the total
-at or below bit 63 also means step 2 can never overflow the word.
+The scalar functions take Python ints, which have no word size, so a
+block of any number of lanes is matched in one call: the top lane's carry
+bit simply lands above it.
 
-``match_bits_many`` runs the same steps on numpy uint64 arrays for the bulk
-query path.
+``match_bits_many`` runs the same steps on numpy uint64 arrays.  There the
+63-bit budget applies: the top lane needs its carry bit to land inside the
+word, so lanes * width must stay at or below 63 (``lanes_per_word`` gives
+the most lanes that fit), which also means step 2 never overflows.
 """
 
 import numpy as np
-
-MASK64 = (1 << 64) - 1
 
 MIN_WIDTH = 2
 MAX_WIDTH = 32
 
 
 def lanes_per_word(width: int) -> int:
-    """Maximum number of width-bit lanes a 64-bit word can hold."""
+    """Maximum number of width-bit lanes match_bits_many can search in a word."""
     _check_width(width)
     return 63 // width
 
@@ -46,11 +47,6 @@ def make_lane_constant(width: int, lanes: int) -> int:
     _check_width(width)
     if lanes < 1:
         raise ValueError(f"need at least one lane, got {lanes}")
-    if lanes * width > 63:
-        raise ValueError(
-            f"{lanes} lanes of {width} bits exceed the 63-bit budget "
-            "(the top lane's carry bit must stay inside the word)"
-        )
     constant = 0
     for i in range(lanes):
         constant |= 1 << (i * width)
@@ -87,21 +83,6 @@ def naive_find(word: int, fingerprint: int, width: int, lanes: int) -> int | Non
     return None
 
 
-def find_in_words(words, fingerprint: int, lane_constant: int, width: int) -> int | None:
-    """First slot holding ``fingerprint`` in a multi-word block, or None.
-
-    Slot k lives in lane ``k % lanes`` of word ``k // lanes``.  Unused high
-    lanes of the final word must be zero; they can never match because
-    fingerprints are nonzero.
-    """
-    lanes = 63 // width
-    for k, word in enumerate(words):
-        hit = find_fingerprint(word, fingerprint, lane_constant, width)
-        if hit is not None:
-            return k * lanes + hit
-    return None
-
-
 def write_lane(word: int, lane: int, width: int, value: int) -> int:
     shift = lane * width
     return (word & ~(((1 << width) - 1) << shift)) | (value << shift)
@@ -114,12 +95,17 @@ def match_bits_many(
     words: np.ndarray, fingerprints: np.ndarray, lane_constant: int, width: int
 ) -> np.ndarray:
     """match_bits over parallel uint64 arrays of words and fingerprints."""
+    if lane_constant.bit_length() + width > 64:
+        raise ValueError(
+            f"{lane_constant.bit_count()} lanes of {width} bits exceed the 63-bit budget "
+            "(the top lane's carry bit must stay inside the uint64 word)"
+        )
     w = np.asarray(words, dtype=np.uint64)
     fp = np.asarray(fingerprints, dtype=np.uint64)
     ones = np.uint64((1 << width) - 1)
     lane_c = np.uint64(lane_constant)
     q = w ^ ((fp ^ ones) * lane_c)
-    return ((q + lane_c) ^ q ^ lane_c) & np.uint64((lane_constant << width) & MASK64)
+    return ((q + lane_c) ^ q ^ lane_c) & np.uint64(lane_constant << width)
 
 
 def _check_width(width: int) -> None:

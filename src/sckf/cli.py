@@ -21,27 +21,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _count(text: str) -> int:
-    """A count flag: an integer of at least 1."""
+def _bounded_int(text: str, low: int, high: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low or (high is not None and value > high):
+        bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
     return value
 
 
+def _count(text: str) -> int:
+    """A count flag: an integer of at least 1."""
+    return _bounded_int(text, 1)
+
+
+def _width(text: str) -> int:
+    """A fingerprint width: an integer the lane match supports."""
+    return _bounded_int(text, bitmatch.MIN_WIDTH, bitmatch.MAX_WIDTH)
+
+
 def _list_of(convert):
-    """A comma-separated list flag whose items parse with ``convert``."""
+    """A non-empty comma-separated list flag whose items parse with ``convert``."""
 
     def parse(text: str) -> list:
         try:
-            return [convert(part) for part in text.split(",") if part]
+            items = [convert(part) for part in text.split(",") if part]
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {convert.__name__} list: {text!r}"
             ) from None
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return items
 
     return parse
 
@@ -62,7 +75,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("plan", help="derive geometry from a capacity target")
     p.add_argument("--n", type=int, required=True, help="elements to plan for")
-    p.add_argument("--b", type=int, help="block size (slots per cell)")
+    p.add_argument("--b", type=_count, help="block size (slots per cell)")
     p.add_argument("--delta", type=float, help="load slack in (0, 0.5)")
     p.add_argument("--s", type=float, default=1.0, help="failure exponent (default 1)")
     p.add_argument("--target-fp-rate", type=float, help="false-positive budget")
@@ -70,7 +83,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("fprate", help="measure false-positive rate vs bound")
-    _common_flags(p)
+    _common_flags(p, trials=False)
     p.add_argument("--queries", type=_count, default=10**6)
     p.add_argument("--seeds", type=_count, default=10, help="number of seeds, counted up from --seed")
     p.set_defaults(handler=_cmd_fprate)
@@ -84,7 +97,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("failsweep", help="construction failures across fingerprint widths")
     _common_flags(p, variant=False, subtables=False, stash=False, fingerprint=False)
     p.add_argument("--load", type=float, default=0.9)
-    p.add_argument("--fgrid", type=_list_of(int), default="2,3,4,5,6,7,8,9,10",
+    p.add_argument("--fgrid", type=_list_of(_width), default="2,3,4,5,6,7,8,9,10",
                    help="comma-separated fingerprint widths")
     p.set_defaults(handler=_cmd_failsweep)
 
@@ -93,7 +106,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("bloom", help="Bloom-filter false-positive baseline")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--queries", type=_count, default=10**6)
     p.add_argument("--seed", type=int, default=0)
@@ -106,18 +119,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _common_flags(p, variant=True, subtables=True, stash=True, fingerprint=True):
-    p.add_argument("--n", type=int, required=True, help="member count")
-    p.add_argument("--b", type=int, default=4, help="block size")
+def _common_flags(p, variant=True, subtables=True, stash=True, fingerprint=True, trials=True):
+    p.add_argument("--n", type=_count, required=True, help="member count")
+    p.add_argument("--b", type=_count, default=4, help="block size")
     if fingerprint:
-        p.add_argument("--f", type=int, required=True, help="fingerprint bits")
+        p.add_argument("--f", type=_width, required=True, help="fingerprint bits")
     if subtables:
-        p.add_argument("--subtables", type=int, default=1)
+        p.add_argument("--subtables", type=_count, default=1)
     if stash:
         p.add_argument("--stash", type=int, default=0, help="stash capacity per subtable")
     if variant:
         p.add_argument("--variant", choices=("simplified", "original"), default="simplified")
-    p.add_argument("--trials", type=_count, default=100)
+    if trials:
+        p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     _output_flags(p)
 

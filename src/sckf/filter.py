@@ -12,6 +12,11 @@ the home cell or its alternate:
   of the fingerprint, which requires the total cell count to be a power of
   two for the mapping to be an involution.
 
+Each cell is one Python int that holds slot k at bits [k*f, (k+1)*f):
+exactly the cell's block in the v1 wire format.  A block is probed for a
+fingerprint, or for its lowest empty slot, with one bit-parallel lane match
+over the whole int, whatever its width.
+
 Inserts that cannot be placed even after a bounded breadth-first eviction
 search overflow into a small per-subtable stash (simplified variant only);
 when the stash is full too, the insert fails and the filter is untouched.
@@ -191,14 +196,13 @@ class CuckooFilter:
         self._fp_modulus = (1 << f) - 1
         self._block_size = params.block_size
         self._n_cells = params.num_cells
-        self._lanes = bitmatch.lanes_per_word(f)
-        self._words_per_block = -(-params.block_size // self._lanes)
-        self._lane_const = bitmatch.make_lane_constant(f, self._lanes)
+        self._block_words = _dense_words_per_block(params.block_size, f)
+        self._lane_const = bitmatch.make_lane_constant(f, params.block_size)
         self._seed_fp = hashing.derive_seed(params.seed, _STREAM_FP)
         self._seed_home = hashing.derive_seed(params.seed, _STREAM_HOME)
         self._seed_alt = hashing.derive_seed(params.seed, _STREAM_ALT)
         self._simplified = params.variant is Variant.SIMPLIFIED
-        self._words = [0] * (self._n_cells * self._words_per_block)
+        self._cells = [0] * self._n_cells
         self._occupancy = bytearray(self._n_cells)
         self._stashes: list[list[tuple[int, int]]] = [[] for _ in range(params.num_subtables)]
         self._table_count = 0
@@ -253,7 +257,6 @@ class CuckooFilter:
         Equivalent to query(encode_u64(v)) for each v, evaluated with
         numpy over the whole array at once.
         """
-        f = self._f
         homes, fps = self.hash_many(values)
         if self._simplified:
             alts = homes ^ fps
@@ -261,18 +264,16 @@ class CuckooFilter:
             offsets = hashing.hash_u64_many(fps, self._seed_alt)
             offsets = offsets % np.uint64(self._n_cells - 1) + np.uint64(1)
             alts = homes ^ offsets
-        words = np.array(self._words, dtype=np.uint64)
-        per_block = np.uint64(self._words_per_block)
+        if self._block_words == 1:
+            table = [np.fromiter(self._cells, dtype=np.uint64, count=self._n_cells)]
+        else:
+            table = self._wire_columns(self._table_bytes())
         hits = np.zeros(homes.shape, dtype=bool)
-        for k in range(self._words_per_block):
-            offset = np.uint64(k)
-            r1 = bitmatch.match_bits_many(
-                words[homes * per_block + offset], fps, self._lane_const, f
-            )
-            r2 = bitmatch.match_bits_many(
-                words[alts * per_block + offset], fps, self._lane_const, f
-            )
-            hits |= (r1 != 0) | (r2 != 0)
+        # one side at a time keeps a single gathered copy of the blocks alive
+        for cells in (homes, alts):
+            columns = [column[cells] for column in table]
+            for slot in range(self._block_size):
+                hits |= self._slot_values(columns, slot) == fps
         if self._stash_count:
             hits |= self._stash_contains_many(homes, fps)
         return hits
@@ -349,24 +350,17 @@ class CuckooFilter:
         return min(local, local ^ fingerprint)
 
     def _slot(self, cell: int, slot: int) -> int:
-        word = self._words[cell * self._words_per_block + slot // self._lanes]
-        return (word >> ((slot % self._lanes) * self._f)) & self._fp_mask
+        return (self._cells[cell] >> (slot * self._f)) & self._fp_mask
 
     def _set_slot(self, cell: int, slot: int, value: int) -> None:
-        index = cell * self._words_per_block + slot // self._lanes
-        self._words[index] = bitmatch.write_lane(
-            self._words[index], slot % self._lanes, self._f, value
-        )
+        self._cells[cell] = bitmatch.write_lane(self._cells[cell], slot, self._f, value)
 
     def _place(self, cell: int, fingerprint: int) -> None:
         """Drop a fingerprint into the lowest free slot of a non-full cell."""
-        for slot in range(self._block_size):
-            if self._slot(cell, slot) == 0:
-                self._set_slot(cell, slot, fingerprint)
-                self._occupancy[cell] += 1
-                self._table_count += 1
-                return
-        raise AssertionError("placement into a full cell")
+        # empty slots are exact zero lanes, so the lowest zero match is genuine
+        self._set_slot(cell, self._find_slot(cell, 0), fingerprint)
+        self._occupancy[cell] += 1
+        self._table_count += 1
 
     def _clear(self, cell: int, slot: int) -> None:
         """Empty one occupied slot."""
@@ -375,20 +369,23 @@ class CuckooFilter:
         self._table_count -= 1
 
     def _cell_contains(self, cell: int, fingerprint: int) -> bool:
-        base = cell * self._words_per_block
-        for k in range(self._words_per_block):
-            if bitmatch.match_bits(self._words[base + k], fingerprint, self._lane_const, self._f):
-                return True
-        return False
+        return bitmatch.match_bits(self._cells[cell], fingerprint, self._lane_const, self._f) != 0
 
     def _find_slot(self, cell: int, fingerprint: int) -> int | None:
-        base = cell * self._words_per_block
-        return bitmatch.find_in_words(
-            self._words[base : base + self._words_per_block],
-            fingerprint,
-            self._lane_const,
-            self._f,
-        )
+        return bitmatch.find_fingerprint(self._cells[cell], fingerprint, self._lane_const, self._f)
+
+    def _slot_values(self, columns: list[np.ndarray], slot: int) -> np.ndarray:
+        """One slot of many blocks given as uint64 arrays of their wire words.
+
+        ``columns[k]`` holds word k of each block; a slot that straddles a
+        word boundary is joined from both words.
+        """
+        word, shift = divmod(slot * self._f, 64)
+        values = columns[word] >> np.uint64(shift)
+        if shift + self._f > 64:
+            values |= columns[word + 1] << np.uint64(64 - shift)
+        values &= np.uint64(self._fp_mask)
+        return values
 
     def _remove_from_cell(self, cell: int, fingerprint: int) -> bool:
         slot = self._find_slot(cell, fingerprint)
@@ -488,16 +485,7 @@ class CuckooFilter:
                 self.stored_count,
             )
         )
-        dense_words = _dense_words_per_block(p.block_size, p.fingerprint_bits)
-        span = self._lanes * self._f
-        base = 0
-        for _ in range(self._n_cells):
-            acc = 0
-            for k in range(self._words_per_block):
-                acc |= self._words[base + k] << (k * span)
-            base += self._words_per_block
-            for k in range(dense_words):
-                out += struct.pack("<Q", (acc >> (64 * k)) & MASK64)
+        out += self._table_bytes()
         for stash in self._stashes:
             out += _STASH_COUNT.pack(len(stash))
             for local, fp in stash:
@@ -547,7 +535,7 @@ class CuckooFilter:
                 f"table needs {table_bytes} bytes, got {len(data) - offset}"
             )
         filt = cls(params)
-        filt._load_table(data, offset, dense_words)
+        filt._load_table(data[offset : offset + table_bytes])
         offset += table_bytes
         offset = filt._load_stashes(data, offset)
         if offset != len(data):
@@ -558,31 +546,32 @@ class CuckooFilter:
             )
         return filt
 
-    def _load_table(self, data: bytes, offset: int, dense_words: int) -> None:
-        f = self._f
-        block = self._block_size
-        span = self._lanes * f
-        span_mask = (1 << span) - 1
-        count = 0
-        for cell in range(self._n_cells):
-            acc = 0
-            for k in range(dense_words):
-                acc |= int.from_bytes(data[offset : offset + 8], "little") << (64 * k)
-                offset += 8
-            if acc >> (block * f):
-                raise SerializationError(f"nonzero padding bits in block {cell}")
-            if acc == 0:
-                continue
-            base = cell * self._words_per_block
-            occupied = 0
-            for k in range(self._words_per_block):
-                self._words[base + k] = (acc >> (k * span)) & span_mask
-            for slot in range(block):
-                if (acc >> (slot * f)) & self._fp_mask:
-                    occupied += 1
-            self._occupancy[cell] = occupied
-            count += occupied
-        self._table_count = count
+    def _table_bytes(self) -> bytes:
+        size = 8 * self._block_words
+        return b"".join([cell.to_bytes(size, "little") for cell in self._cells])
+
+    def _wire_columns(self, table: bytes) -> list[np.ndarray]:
+        """Views of wire-format table bytes: word k of every block per array."""
+        rows = np.frombuffer(table, dtype="<u8").reshape(self._n_cells, self._block_words)
+        return [rows[:, word] for word in range(self._block_words)]
+
+    def _load_table(self, table: bytes) -> None:
+        columns = self._wire_columns(table)
+        used = self._block_size * self._f - 64 * (self._block_words - 1)
+        if used < 64:
+            padded = np.flatnonzero(columns[-1] >> np.uint64(used))
+            if padded.size:
+                raise SerializationError(f"nonzero padding bits in block {padded[0]}")
+        occupancy = np.zeros(self._n_cells, dtype=np.uint8)
+        for slot in range(self._block_size):
+            occupancy += self._slot_values(columns, slot) != 0
+        size = 8 * self._block_words
+        self._cells = [
+            int.from_bytes(table[start : start + size], "little")
+            for start in range(0, len(table), size)
+        ]
+        self._occupancy = bytearray(occupancy.tobytes())
+        self._table_count = int(occupancy.sum())
 
     def _load_stashes(self, data: bytes, offset: int) -> int:
         capacity = self.params.stash_capacity

@@ -9,13 +9,12 @@ from conftest import find_fingerprint_many
 from sckf import bitmatch
 
 
-def pack_words(values, width: int) -> list[int]:
-    """Pack a slot sequence into lane-layout words."""
-    lanes = bitmatch.lanes_per_word(width)
-    words = [0] * ((len(values) + lanes - 1) // lanes) if values else []
+def pack_cell(values, width: int) -> int:
+    """Pack a slot sequence densely into one int, slot k at bits k * width."""
+    cell = 0
     for k, value in enumerate(values):
-        words[k // lanes] |= value << ((k % lanes) * width)
-    return words
+        cell |= value << (k * width)
+    return cell
 
 
 def test_lane_constant_examples():
@@ -27,7 +26,11 @@ def test_lane_constant_examples():
 
 def test_lane_constant_rejects_bad_geometry():
     with pytest.raises(ValueError):
-        bitmatch.make_lane_constant(4, 16)  # 64 bits leaves no carry room
+        # 64 bits leave no carry room inside a uint64 word
+        bitmatch.match_bits_many(
+            np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64),
+            bitmatch.make_lane_constant(4, 16), 4,
+        )
     with pytest.raises(ValueError):
         bitmatch.make_lane_constant(1, 1)
     with pytest.raises(ValueError):
@@ -111,18 +114,32 @@ def test_vectorized_forms_match_scalar():
 
 
 def test_find_in_words_returns_lowest_slot():
+    # ten 8-bit slots span 80 bits of one int, past any 64-bit word
     width = 8
-    lanes = bitmatch.lanes_per_word(width)
-    constant = bitmatch.make_lane_constant(width, lanes)
+    constant = bitmatch.make_lane_constant(width, 10)
     slots = [0] * 10
     slots[9] = 0xAB
-    words = pack_words(slots, width)
-    assert len(words) == 2
-    assert bitmatch.find_in_words(words, 0xAB, constant, width) == 9
+    cell = pack_cell(slots, width)
+    assert cell.bit_length() > 64
+    assert bitmatch.find_fingerprint(cell, 0xAB, constant, width) == 9
+    assert bitmatch.find_fingerprint(cell, 0, constant, width) == 0
     slots[2] = 0xAB
-    words = pack_words(slots, width)
-    assert bitmatch.find_in_words(words, 0xAB, constant, width) == 2
-    assert bitmatch.find_in_words(words, 0xCD, constant, width) is None
+    cell = pack_cell(slots, width)
+    assert bitmatch.find_fingerprint(cell, 0xAB, constant, width) == 2
+    assert bitmatch.find_fingerprint(cell, 0xCD, constant, width) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), geometry=st.sampled_from([(8, 16), (7, 10)]))
+def test_find_matches_naive_on_dense_multiword_cells(data, geometry):
+    lanes, width = geometry
+    constant = bitmatch.make_lane_constant(width, lanes)
+    slots = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=lanes, max_size=lanes))
+    fp = data.draw(st.one_of(st.sampled_from(slots), st.integers(0, (1 << width) - 1)))
+    cell = pack_cell(slots, width)
+    assert bitmatch.find_fingerprint(cell, fp, constant, width) == bitmatch.naive_find(
+        cell, fp, width, lanes
+    )
 
 
 def test_lane_read_write_clear():

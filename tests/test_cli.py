@@ -58,6 +58,18 @@ def test_usage_error_exits_one(capsys):
         ["failsweep", "--n", "100", "--trials", "0"],
         ["compare", "--n", "100", "--f", "8", "--trials", "0"],
         ["bloom", "--n", "10", "--bits", "100", "--queries", "0"],
+        ["fprate", "--n", "100", "--f", "8", "--b", "0"],
+        ["fprate", "--n", "0", "--f", "8"],
+        ["fprate", "--n", "100", "--f", "1"],
+        ["fprate", "--n", "100", "--f", "33"],
+        ["compare", "--n", "100", "--f", "8", "--subtables", "0"],
+        ["failsweep", "--n", "100", "--fgrid", "1"],
+        ["failsweep", "--n", "100", "--fgrid", "2,33"],
+        ["fprate", "--n", "100", "--f", "8", "--queries", "10", "--seeds", "1", "--trials", "7"],
+        ["loadsweep", "--n", "100", "--f", "8", "--loads", ","],
+        ["failsweep", "--n", "100", "--fgrid", ","],
+        ["plan", "--n", "100", "--b", "0"],
+        ["bloom", "--n", "0", "--bits", "100"],
     )
     for argv in bad:
         with pytest.raises(SystemExit) as excinfo:
