@@ -11,8 +11,6 @@ import numpy as np
 
 from . import hashing
 
-MASK64 = (1 << 64) - 1
-
 _STREAM_A = 0
 _STREAM_B = 1
 
@@ -34,7 +32,7 @@ class BloomFilter:
             raise ValueError(f"num_hashes must be positive, got {num_hashes}")
         self.num_bits = num_bits
         self.num_hashes = num_hashes
-        self.seed = seed & MASK64
+        self.seed = seed & hashing.MASK64
         self._seed_a = hashing.derive_seed(self.seed, _STREAM_A)
         self._seed_b = hashing.derive_seed(self.seed, _STREAM_B)
         self._bits = np.zeros(num_bits, dtype=bool)
@@ -43,13 +41,13 @@ class BloomFilter:
         a = hashing.hash_bytes(element, self._seed_a)
         b = self._step(hashing.hash_bytes(element, self._seed_b))
         for i in range(self.num_hashes):
-            self._bits[((a + i * b) & MASK64) % self.num_bits] = True
+            self._bits[((a + i * b) & hashing.MASK64) % self.num_bits] = True
 
     def contains(self, element: bytes) -> bool:
         a = hashing.hash_bytes(element, self._seed_a)
         b = self._step(hashing.hash_bytes(element, self._seed_b))
         return all(
-            self._bits[((a + i * b) & MASK64) % self.num_bits]
+            self._bits[((a + i * b) & hashing.MASK64) % self.num_bits]
             for i in range(self.num_hashes)
         )
 

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import bitmatch, harness, planner
-from .filter import Variant
+from .filter import MAX_BLOCK_SIZE, MAX_STASH_CAPACITY, Variant
 
 USAGE_EXIT = 1
 INFEASIBLE_EXIT = 2
@@ -37,21 +37,37 @@ def _count(text: str) -> int:
     return _bounded_int(text, 1)
 
 
+def _block_size(text: str) -> int:
+    """A block size: slots per cell, as many as the wire format holds."""
+    return _bounded_int(text, 1, MAX_BLOCK_SIZE)
+
+
+def _stash(text: str) -> int:
+    """A stash capacity per subtable, as many entries as the wire format holds."""
+    return _bounded_int(text, 0, MAX_STASH_CAPACITY)
+
+
 def _width(text: str) -> int:
     """A fingerprint width: an integer the lane match supports."""
     return _bounded_int(text, bitmatch.MIN_WIDTH, bitmatch.MAX_WIDTH)
+
+
+def _load(text: str) -> float:
+    """A target load: a number in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value <= 1.0:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
 
 
 def _list_of(convert):
     """A non-empty comma-separated list flag whose items parse with ``convert``."""
 
     def parse(text: str) -> list:
-        try:
-            items = [convert(part) for part in text.split(",") if part]
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {convert.__name__} list: {text!r}"
-            ) from None
+        items = [convert(part) for part in text.split(",") if part]
         if not items:
             raise argparse.ArgumentTypeError(f"empty list: {text!r}")
         return items
@@ -75,7 +91,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("plan", help="derive geometry from a capacity target")
     p.add_argument("--n", type=int, required=True, help="elements to plan for")
-    p.add_argument("--b", type=_count, help="block size (slots per cell)")
+    p.add_argument("--b", type=_block_size, help="block size (slots per cell)")
     p.add_argument("--delta", type=float, help="load slack in (0, 0.5)")
     p.add_argument("--s", type=float, default=1.0, help="failure exponent (default 1)")
     p.add_argument("--target-fp-rate", type=float, help="false-positive budget")
@@ -90,13 +106,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("loadsweep", help="construction success across target loads")
     _common_flags(p, stash=False)
-    p.add_argument("--loads", type=_list_of(float), default="0.5,0.6,0.7,0.8,0.9,0.95",
+    p.add_argument("--loads", type=_list_of(_load), default="0.5,0.6,0.7,0.8,0.9,0.95",
                    help="comma-separated target loads")
     p.set_defaults(handler=_cmd_loadsweep)
 
     p = sub.add_parser("failsweep", help="construction failures across fingerprint widths")
     _common_flags(p, variant=False, subtables=False, stash=False, fingerprint=False)
-    p.add_argument("--load", type=float, default=0.9)
+    p.add_argument("--load", type=_load, default=0.9)
     p.add_argument("--fgrid", type=_list_of(_width), default="2,3,4,5,6,7,8,9,10",
                    help="comma-separated fingerprint widths")
     p.set_defaults(handler=_cmd_failsweep)
@@ -107,7 +123,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bloom", help="Bloom-filter false-positive baseline")
     p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--bits", type=int, required=True)
+    p.add_argument("--bits", type=_count, required=True)
     p.add_argument("--queries", type=_count, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     _output_flags(p)
@@ -121,13 +137,13 @@ def _build_parser() -> _Parser:
 
 def _common_flags(p, variant=True, subtables=True, stash=True, fingerprint=True, trials=True):
     p.add_argument("--n", type=_count, required=True, help="member count")
-    p.add_argument("--b", type=_count, default=4, help="block size")
+    p.add_argument("--b", type=_block_size, default=4, help="block size")
     if fingerprint:
         p.add_argument("--f", type=_width, required=True, help="fingerprint bits")
     if subtables:
         p.add_argument("--subtables", type=_count, default=1)
     if stash:
-        p.add_argument("--stash", type=int, default=0, help="stash capacity per subtable")
+        p.add_argument("--stash", type=_stash, default=0, help="stash capacity per subtable")
     if variant:
         p.add_argument("--variant", choices=("simplified", "original"), default="simplified")
     if trials:

@@ -12,6 +12,10 @@ the home cell or its alternate:
   of the fingerprint, which requires the total cell count to be a power of
   two for the mapping to be an involution.
 
+A cell is named by its global index ``subtable << f | local``; the filter
+and ``hash_element`` / ``alt_location`` share one implementation of this
+addressing.  Elements are ``bytes`` or ``bytearray``, else TypeError.
+
 Each cell is one Python int that holds slot k at bits [k*f, (k+1)*f):
 exactly the cell's block in the v1 wire format.  A block is probed for a
 fingerprint, or for its lowest empty slot, with one bit-parallel lane match
@@ -38,7 +42,9 @@ import numpy as np
 
 from . import bitmatch, hashing
 
-MASK64 = (1 << 64) - 1
+# wire-format limits: the block size is one header byte, a stash count a u16
+MAX_BLOCK_SIZE = 0xFF
+MAX_STASH_CAPACITY = 0xFFFF
 
 SERIAL_MAGIC = b"SCKF"
 SERIAL_VERSION = 1
@@ -111,8 +117,8 @@ class FilterParams:
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if not 1 <= self.block_size <= 255:
-            raise ValueError(f"block_size must be in [1, 255], got {self.block_size}")
+        if not 1 <= self.block_size <= MAX_BLOCK_SIZE:
+            raise ValueError(f"block_size must be in [1, {MAX_BLOCK_SIZE}], got {self.block_size}")
         if not bitmatch.MIN_WIDTH <= self.fingerprint_bits <= bitmatch.MAX_WIDTH:
             raise ValueError(
                 f"fingerprint_bits must be in [{bitmatch.MIN_WIDTH}, "
@@ -120,8 +126,8 @@ class FilterParams:
             )
         if not 1 <= self.num_subtables <= 0xFFFFFFFF:
             raise ValueError(f"num_subtables must be in [1, 2^32), got {self.num_subtables}")
-        if not 0 <= self.stash_capacity <= 0xFFFF:
-            raise ValueError(f"stash_capacity must be in [0, 65535], got {self.stash_capacity}")
+        if not 0 <= self.stash_capacity <= MAX_STASH_CAPACITY:
+            raise ValueError(f"stash_capacity must be in [0, {MAX_STASH_CAPACITY}], got {self.stash_capacity}")
         if self.stash_capacity > 0 and self.variant is not Variant.SIMPLIFIED:
             raise ValueError("the stash extension applies to the simplified variant only")
         if self.variant is Variant.ORIGINAL and self.num_subtables & (self.num_subtables - 1):
@@ -131,7 +137,7 @@ class FilterParams:
             )
         if self.max_evictions < 1:
             raise ValueError(f"max_evictions must be positive, got {self.max_evictions}")
-        object.__setattr__(self, "seed", self.seed & MASK64)
+        object.__setattr__(self, "seed", self.seed & hashing.MASK64)
 
     @property
     def num_cells(self) -> int:
@@ -143,18 +149,14 @@ class FilterParams:
 
 
 def hash_element(element: bytes, params: FilterParams) -> tuple[CellIndex, int]:
-    """Home cell and fingerprint of an element.
+    """Home cell and fingerprint of an element, as the filter computes them.
 
     The fingerprint is uniform over [1, 2^fingerprint_bits - 1]; zero is
     reserved to mean an empty slot.  Home cell and fingerprint come from
     independent sub-seeds of the filter seed.
     """
-    f = params.fingerprint_bits
-    home = hashing.hash_bytes(element, hashing.derive_seed(params.seed, _STREAM_HOME))
-    home %= params.num_cells
-    fp = hashing.hash_bytes(element, hashing.derive_seed(params.seed, _STREAM_FP))
-    fp = fp % ((1 << f) - 1) + 1
-    return CellIndex(home >> f, home & ((1 << f) - 1)), fp
+    home, fp = _Addressing(params)._hash(element)
+    return CellIndex(*divmod(home, 1 << params.fingerprint_bits)), fp
 
 
 def alt_location(location: CellIndex, fingerprint: int, params: FilterParams) -> CellIndex:
@@ -162,20 +164,63 @@ def alt_location(location: CellIndex, fingerprint: int, params: FilterParams) ->
     f = params.fingerprint_bits
     if not 1 <= fingerprint < (1 << f):
         raise ValueError(f"fingerprint out of range for {f} bits: {fingerprint}")
-    if params.variant is Variant.SIMPLIFIED:
-        return CellIndex(location.subtable, location.local ^ fingerprint)
     index = (location.subtable << f) | location.local
-    index ^= _alt_offset(fingerprint, params.num_cells, params.seed)
-    return CellIndex(index >> f, index & ((1 << f) - 1))
+    return CellIndex(*divmod(_Addressing(params)._alt(index, fingerprint), 1 << f))
 
 
-def _alt_offset(fingerprint: int, num_cells: int, seed: int) -> int:
-    """Nonzero offset hash of a fingerprint for the original variant."""
-    h = hashing.hash_u64(fingerprint, hashing.derive_seed(seed, _STREAM_ALT))
-    return h % (num_cells - 1) + 1 if num_cells > 1 else 0
+class _Addressing:
+    """Home cell, fingerprint and alternate cell, by global cell index."""
+
+    def __init__(self, params: FilterParams):
+        self.params = params
+        f = params.fingerprint_bits
+        self._f = f
+        self._fp_mask = (1 << f) - 1
+        self._n_cells = params.num_cells
+        self._simplified = params.variant is Variant.SIMPLIFIED
+        self._seed_fp = hashing.derive_seed(params.seed, _STREAM_FP)
+        self._seed_home = hashing.derive_seed(params.seed, _STREAM_HOME)
+        self._seed_alt = hashing.derive_seed(params.seed, _STREAM_ALT)
+        # original-variant offsets per fingerprint: builds repeat each one ~10x
+        self._alt_memo: dict[int, int] = {}
+
+    def _hash(self, element: bytes) -> tuple[int, int]:
+        if not isinstance(element, (bytes, bytearray)):
+            raise TypeError(f"elements must be bytes or bytearray, not {type(element).__name__}")
+        home = hashing.hash_bytes(element, self._seed_home) % self._n_cells
+        fp = hashing.hash_bytes(element, self._seed_fp) % self._fp_mask + 1
+        return home, fp
+
+    def _alt(self, cell: int, fingerprint: int) -> int:
+        if self._simplified:
+            return cell ^ fingerprint
+        offset = self._alt_memo.get(fingerprint)
+        if offset is None:
+            offset = hashing.hash_u64(fingerprint, self._seed_alt) % (self._n_cells - 1) + 1
+            self._alt_memo[fingerprint] = offset
+        return cell ^ offset
+
+    def hash_many(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Global home cells and fingerprints of 64-bit counters.
+
+        Element-wise equal to the hash of encode_u64(v), so insert_hashed
+        on a pair behaves exactly like insert(encode_u64(v)).
+        """
+        values = np.asarray(values, dtype=np.uint64)
+        homes = hashing.hash_u64_many(values, self._seed_home) % np.uint64(self._n_cells)
+        fps = hashing.hash_u64_many(values, self._seed_fp) % np.uint64(self._fp_mask)
+        fps += np.uint64(1)
+        return homes, fps
+
+    def _alt_many(self, homes: np.ndarray, fps: np.ndarray) -> np.ndarray:
+        """Element-wise _alt over uint64 arrays."""
+        if self._simplified:
+            return homes ^ fps
+        offsets = hashing.hash_u64_many(fps, self._seed_alt) % np.uint64(self._n_cells - 1)
+        return homes ^ (offsets + np.uint64(1))
 
 
-class CuckooFilter:
+class CuckooFilter(_Addressing):
     """Approximate membership with insert, query, and delete.
 
     >>> params = FilterParams(capacity=1000, block_size=4, fingerprint_bits=12)
@@ -189,26 +234,15 @@ class CuckooFilter:
     """
 
     def __init__(self, params: FilterParams):
-        self.params = params
-        f = params.fingerprint_bits
-        self._f = f
-        self._fp_mask = (1 << f) - 1
-        self._fp_modulus = (1 << f) - 1
+        super().__init__(params)
         self._block_size = params.block_size
-        self._n_cells = params.num_cells
-        self._block_words = _dense_words_per_block(params.block_size, f)
-        self._lane_const = bitmatch.make_lane_constant(f, params.block_size)
-        self._seed_fp = hashing.derive_seed(params.seed, _STREAM_FP)
-        self._seed_home = hashing.derive_seed(params.seed, _STREAM_HOME)
-        self._seed_alt = hashing.derive_seed(params.seed, _STREAM_ALT)
-        self._simplified = params.variant is Variant.SIMPLIFIED
+        self._block_words = _dense_words_per_block(params.block_size, self._f)
+        self._lane_const = bitmatch.make_lane_constant(self._f, params.block_size)
         self._cells = [0] * self._n_cells
         self._occupancy = bytearray(self._n_cells)
         self._stashes: list[list[tuple[int, int]]] = [[] for _ in range(params.num_subtables)]
         self._table_count = 0
         self._stash_count = 0
-        # original-variant offsets per fingerprint: builds repeat each one ~10x
-        self._alt_memo: dict[int, int] = {}
 
     # -- membership ---------------------------------------------------------
 
@@ -236,12 +270,12 @@ class CuckooFilter:
         if freed is not None:
             self._place(freed, fingerprint)
             return InsertOutcome.STORED
-        if self._simplified and self.params.stash_capacity > 0:
-            stash = self._stashes[home >> self._f]
-            if len(stash) < self.params.stash_capacity:
-                stash.append((self._canonical_local(home, fingerprint), fingerprint))
-                self._stash_count += 1
-                return InsertOutcome.STASHED
+        # FilterParams allows a stash only on the simplified variant
+        stash = self._stashes[home >> self._f]
+        if len(stash) < self.params.stash_capacity:
+            stash.append((self._canonical_local(home, fingerprint), fingerprint))
+            self._stash_count += 1
+            return InsertOutcome.STASHED
         return InsertOutcome.FAILED
 
     def query(self, element: bytes) -> bool:
@@ -258,12 +292,7 @@ class CuckooFilter:
         numpy over the whole array at once.
         """
         homes, fps = self.hash_many(values)
-        if self._simplified:
-            alts = homes ^ fps
-        else:
-            offsets = hashing.hash_u64_many(fps, self._seed_alt)
-            offsets = offsets % np.uint64(self._n_cells - 1) + np.uint64(1)
-            alts = homes ^ offsets
+        alts = self._alt_many(homes, fps)
         if self._block_words == 1:
             table = [np.fromiter(self._cells, dtype=np.uint64, count=self._n_cells)]
         else:
@@ -277,18 +306,6 @@ class CuckooFilter:
         if self._stash_count:
             hits |= self._stash_contains_many(homes, fps)
         return hits
-
-    def hash_many(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Global home cells and fingerprints of 64-bit counters.
-
-        Element-wise equal to the hash of encode_u64(v), so insert_hashed
-        on a pair behaves exactly like insert(encode_u64(v)).
-        """
-        values = np.asarray(values, dtype=np.uint64)
-        homes = hashing.hash_u64_many(values, self._seed_home) % np.uint64(self._n_cells)
-        fps = hashing.hash_u64_many(values, self._seed_fp) % np.uint64(self._fp_modulus)
-        fps += np.uint64(1)
-        return homes, fps
 
     def delete(self, element: bytes) -> bool:
         """Remove exactly one stored copy; False when none is present."""
@@ -330,20 +347,6 @@ class CuckooFilter:
         return self._table_count / self.params.total_slots
 
     # -- internals -----------------------------------------------------------
-
-    def _hash(self, element: bytes) -> tuple[int, int]:
-        home = hashing.hash_bytes(element, self._seed_home) % self._n_cells
-        fp = hashing.hash_bytes(element, self._seed_fp) % self._fp_modulus + 1
-        return home, fp
-
-    def _alt(self, cell: int, fingerprint: int) -> int:
-        if self._simplified:
-            return cell ^ fingerprint
-        offset = self._alt_memo.get(fingerprint)
-        if offset is None:
-            offset = _alt_offset(fingerprint, self._n_cells, self.params.seed)
-            self._alt_memo[fingerprint] = offset
-        return cell ^ offset
 
     def _canonical_local(self, cell: int, fingerprint: int) -> int:
         local = cell & self._fp_mask
@@ -499,6 +502,8 @@ class CuckooFilter:
         The wire format carries no planned capacity or eviction budget;
         those come back as the physical slot count and the default.
         """
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise TypeError(f"payload must be bytes-like, not {type(data).__name__}")
         if len(data) < len(SERIAL_MAGIC):
             raise TruncatedError("payload shorter than the magic prefix")
         if data[: len(SERIAL_MAGIC)] != SERIAL_MAGIC:

@@ -99,30 +99,6 @@ def render(records, fmt: str) -> str:
     return stream.getvalue()
 
 
-def read_csv(stream) -> list[TrialRecord]:
-    """Inverse of write_csv (wall time comes back as zero)."""
-    reader = csv.DictReader(stream)
-    records = []
-    for row in reader:
-        records.append(
-            TrialRecord(
-                experiment=row["experiment"],
-                variant=row["variant"],
-                n=int(row["n"]),
-                b=int(row["b"]),
-                f=int(row["f"]),
-                num_subtables=int(row["num_subtables"]),
-                stash_capacity=int(row["stash_capacity"]),
-                seed=int(row["seed"]),
-                trials=int(row["trials"]),
-                successes=int(row["successes"]),
-                measured=float(row["measured"]),
-                bound=float(row["bound"]),
-            )
-        )
-    return records
-
-
 def member_values(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.uint64)
 

@@ -25,6 +25,8 @@ result before returning it.
 import math
 from dataclasses import dataclass, field
 
+from .filter import MAX_BLOCK_SIZE
+
 _SLACK_COEFF = 1.0 - math.log(2.0)
 
 # a derived load slack above this makes the quartic balance term so weak
@@ -68,23 +70,22 @@ def balance_fingerprint_bits(n: int, failure_exponent: float, load_slack: float,
     return math.ceil(balance_fingerprint_bound(n, failure_exponent, load_slack, block_size) - 1e-9)
 
 
-def subtable_fingerprint_bound(n: int, failure_exponent: float, block_size: int, union_bound: bool = True) -> float:
+def subtable_fingerprint_bound(n: int, failure_exponent: float, block_size: int) -> float:
     """Exact fingerprint-bit threshold for in-subtable collision safety.
 
-    union_bound=True is the whole-table guarantee (exponent s + 1); False
-    gives the single-subtable form (exponent s).
+    This is the whole-table guarantee: a union bound over the subtables
+    raises the exponent from s to s + 1.
     """
     _check_n(n)
     _check_exponent(failure_exponent)
     if block_size < 1:
         raise ValueError(f"block_size must be positive, got {block_size}")
-    exponent = failure_exponent + 1.0 if union_bound else failure_exponent
-    return exponent * math.log2(n) / block_size
+    return (failure_exponent + 1.0) * math.log2(n) / block_size
 
 
-def subtable_fingerprint_bits(n: int, failure_exponent: float, block_size: int, union_bound: bool = True) -> int:
+def subtable_fingerprint_bits(n: int, failure_exponent: float, block_size: int) -> int:
     """Smallest integer strictly above subtable_fingerprint_bound."""
-    return math.floor(subtable_fingerprint_bound(n, failure_exponent, block_size, union_bound) + 1e-9) + 1
+    return math.floor(subtable_fingerprint_bound(n, failure_exponent, block_size) + 1e-9) + 1
 
 
 def false_positive_bound(n: int, num_cells: int, block_size: int, fingerprint_bits: int) -> float:
@@ -134,8 +135,8 @@ class PlanRequest:
             raise ValueError("give load_slack or block_size (or both)")
         if self.load_slack is not None:
             _check_slack(self.load_slack, upper=0.5)
-        if self.block_size is not None and not 1 <= self.block_size <= 255:
-            raise ValueError(f"block_size must be in [1, 255], got {self.block_size}")
+        if self.block_size is not None and not 1 <= self.block_size <= MAX_BLOCK_SIZE:
+            raise ValueError(f"block_size must be in [1, {MAX_BLOCK_SIZE}], got {self.block_size}")
         if self.target_fp_rate is not None and not 0.0 < self.target_fp_rate < 1.0:
             raise ValueError(f"target_fp_rate must be in (0, 1), got {self.target_fp_rate}")
 

@@ -70,6 +70,17 @@ def test_usage_error_exits_one(capsys):
         ["failsweep", "--n", "100", "--fgrid", ","],
         ["plan", "--n", "100", "--b", "0"],
         ["bloom", "--n", "0", "--bits", "100"],
+        ["fprate", "--n", "100", "--f", "8", "--stash", "-1"],
+        ["fprate", "--n", "100", "--f", "8", "--stash", "65536"],
+        ["loadsweep", "--n", "100", "--f", "8", "--loads", "1.5"],
+        ["loadsweep", "--n", "100", "--f", "8", "--loads", "0.5,0"],
+        ["loadsweep", "--n", "100", "--f", "8", "--loads", "nan"],
+        ["failsweep", "--n", "100", "--load", "0"],
+        ["failsweep", "--n", "100", "--load", "1.01"],
+        ["failsweep", "--n", "100", "--load", "nan"],
+        ["fprate", "--n", "100", "--f", "8", "--b", "256"],
+        ["plan", "--n", "100", "--b", "300"],
+        ["bloom", "--n", "10", "--bits", "0"],
     )
     for argv in bad:
         with pytest.raises(SystemExit) as excinfo:

@@ -341,12 +341,48 @@ def test_query_many_matches_scalar_queries():
     )
     assert np.array_equal(batch, scalar)
     assert batch[:2000].all()
-    original = make_filter(capacity=2000, num_subtables=2, variant=Variant.ORIGINAL, seed=9)
-    for hashed in (filt, original):
+    originals = [
+        make_filter(capacity=2000, num_subtables=subtables, variant=Variant.ORIGINAL, seed=9)
+        for subtables in (2, 4)
+    ]
+    # one addressing: scalar, batch and the public (subtable, local) view agree
+    for hashed in [filt, *originals]:
+        params = hashed.params
+        subtable_cells = 1 << params.fingerprint_bits
         homes, fps = hashed.hash_many(values)
-        pairs = [hashed._hash(encode_u64(int(value))) for value in values]
-        assert homes.tolist() == [home for home, _ in pairs]
-        assert fps.tolist() == [fp for _, fp in pairs]
+        alts = hashed._alt_many(homes, fps)
+        for value, home, fp, alt in zip(values.tolist(), homes.tolist(), fps.tolist(), alts.tolist()):
+            element = encode_u64(value)
+            assert hashed._hash(element) == (home, fp)
+            assert hashed._alt(home, fp) == alt
+            location = CellIndex(*divmod(home, subtable_cells))
+            assert hash_element(element, params) == (location, fp)
+            assert alt_location(location, fp, params) == CellIndex(*divmod(alt, subtable_cells))
+
+
+@pytest.mark.parametrize("element", ["alpha", [1, 2, 3], range(5), 7, None])
+def test_elements_must_be_bytes(element):
+    filt = make_filter()
+    calls = (
+        filt.insert, filt.query, filt.delete, filt.__contains__,
+        lambda e: hash_element(e, filt.params),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match=type(element).__name__):
+            call(element)
+    assert filt.stored_count == 0
+    assert filt.insert(bytearray(b"alpha")) is InsertOutcome.STORED
+    assert b"alpha" in filt
+
+
+def test_module_docstring_examples_run():
+    import doctest
+
+    import sckf.filter
+
+    results = doctest.testmod(sckf.filter)
+    assert results.attempted > 0
+    assert results.failed == 0
 
 
 def test_query_many_sees_stash_entries():

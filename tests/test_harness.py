@@ -1,5 +1,6 @@
 """Experiment harness: record plumbing and small-scale runs of each experiment."""
 
+import csv
 import io
 import json
 
@@ -47,14 +48,12 @@ def test_csv_round_trip_drops_wall_time():
     text = out.getvalue()
     assert "wall_time" not in text
     assert text.endswith("\n")
-    back = harness.read_csv(io.StringIO(text))
-    assert len(back) == 3
-    for original, parsed in zip(records, back):
-        assert parsed.wall_time_s == 0.0
-        assert parsed == TrialRecord(**{
-            **{name: getattr(original, name) for name in harness.CSV_FIELDS},
-            "wall_time_s": 0.0,
-        })
+    reader = csv.DictReader(io.StringIO(text))
+    assert reader.fieldnames == harness.CSV_FIELDS
+    assert list(reader) == [
+        {name: str(getattr(original, name)) for name in harness.CSV_FIELDS}
+        for original in records
+    ]
 
 
 def test_json_output_is_sorted_and_time_free():

@@ -75,11 +75,6 @@ def test_subtable_bits_pins_and_strictness():
     assert planner.subtable_fingerprint_bits(2**20, 1.0, 8) * 8 > 40
 
 
-def test_subtable_bits_union_bound_toggle():
-    assert planner.subtable_fingerprint_bits(2**20, 2.0, 8, union_bound=False) == 6
-    assert planner.subtable_fingerprint_bits(2**20, 2.0, 8, union_bound=True) == 8
-
-
 def test_subtable_bits_make_keyspace_strictly_larger():
     for n in (10**4, 10**6, 2**20):
         for s in (1.0, 2.0):

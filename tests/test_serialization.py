@@ -107,6 +107,14 @@ def test_bad_magic():
         CuckooFilter.from_bytes(b"NOPE" + bytes(payload[4:]))
 
 
+def test_non_bytes_payload_is_type_error():
+    payload = small_filter(seed=3).to_bytes()
+    with pytest.raises(TypeError, match="str"):
+        CuckooFilter.from_bytes(payload.decode("latin-1"))
+    for view in (bytearray(payload), memoryview(payload)):
+        assert CuckooFilter.from_bytes(view).to_bytes() == payload
+
+
 def test_missing_version_byte():
     payload = small_filter().to_bytes()
     with pytest.raises(TruncatedError):
