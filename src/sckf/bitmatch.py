@@ -20,26 +20,13 @@ whose value differs from the target only in its lowest bit, setting a
 spurious carry bit *above* the true match.  The lowest set bit is always a
 genuine match, so first-match semantics are unaffected.
 
-The scalar functions take Python ints, which have no word size, so a
-block of any number of lanes is matched in one call: the top lane's carry
-bit simply lands above it.
-
-``match_bits_many`` runs the same steps on numpy uint64 arrays.  There the
-63-bit budget applies: the top lane needs its carry bit to land inside the
-word, so lanes * width must stay at or below 63 (``lanes_per_word`` gives
-the most lanes that fit), which also means step 2 never overflows.
+The functions take Python ints, which have no word size, so a block of
+any number of lanes is matched in one call: the top lane's carry bit
+simply lands above it.
 """
-
-import numpy as np
 
 MIN_WIDTH = 2
 MAX_WIDTH = 32
-
-
-def lanes_per_word(width: int) -> int:
-    """Maximum number of width-bit lanes match_bits_many can search in a word."""
-    _check_width(width)
-    return 63 // width
 
 
 def make_lane_constant(width: int, lanes: int) -> int:
@@ -86,26 +73,6 @@ def naive_find(word: int, fingerprint: int, width: int, lanes: int) -> int | Non
 def write_lane(word: int, lane: int, width: int, value: int) -> int:
     shift = lane * width
     return (word & ~(((1 << width) - 1) << shift)) | (value << shift)
-
-
-# ---------------------------------------------------------------------------
-# vectorized twin (bit-identical to the scalar form, tested as such)
-
-def match_bits_many(
-    words: np.ndarray, fingerprints: np.ndarray, lane_constant: int, width: int
-) -> np.ndarray:
-    """match_bits over parallel uint64 arrays of words and fingerprints."""
-    if lane_constant.bit_length() + width > 64:
-        raise ValueError(
-            f"{lane_constant.bit_count()} lanes of {width} bits exceed the 63-bit budget "
-            "(the top lane's carry bit must stay inside the uint64 word)"
-        )
-    w = np.asarray(words, dtype=np.uint64)
-    fp = np.asarray(fingerprints, dtype=np.uint64)
-    ones = np.uint64((1 << width) - 1)
-    lane_c = np.uint64(lane_constant)
-    q = w ^ ((fp ^ ones) * lane_c)
-    return ((q + lane_c) ^ q ^ lane_c) & np.uint64(lane_constant << width)
 
 
 def _check_width(width: int) -> None:

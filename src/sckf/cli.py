@@ -63,6 +63,20 @@ def _load(text: str) -> float:
     return value
 
 
+def _checked(convert, check):
+    """A flag parsed by ``convert`` and refused when ``check`` raises ValueError."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
 def _list_of(convert):
     """A non-empty comma-separated list flag whose items parse with ``convert``."""
 
@@ -90,11 +104,15 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="derive geometry from a capacity target")
-    p.add_argument("--n", type=int, required=True, help="elements to plan for")
+    p.add_argument("--n", type=_checked(int, planner.check_n), required=True,
+                   help="elements to plan for (at least 2)")
     p.add_argument("--b", type=_block_size, help="block size (slots per cell)")
-    p.add_argument("--delta", type=float, help="load slack in (0, 0.5)")
-    p.add_argument("--s", type=float, default=1.0, help="failure exponent (default 1)")
-    p.add_argument("--target-fp-rate", type=float, help="false-positive budget")
+    p.add_argument("--delta", type=_checked(float, planner.check_load_slack),
+                   help="load slack in (0, 0.5)")
+    p.add_argument("--s", type=_checked(float, planner.check_failure_exponent), default=1.0,
+                   help="failure exponent, finite and at least 1 (default 1)")
+    p.add_argument("--target-fp-rate", type=_checked(float, planner.check_fp_rate),
+                   help="false-positive budget in (0, 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_plan)
 

@@ -42,8 +42,9 @@ import numpy as np
 
 from . import bitmatch, hashing
 
-# wire-format limits: the block size is one header byte, a stash count a u16
+# wire-format limits: block size one header byte, subtables a u32, stash a u16
 MAX_BLOCK_SIZE = 0xFF
+MAX_SUBTABLES = 0xFFFFFFFF
 MAX_STASH_CAPACITY = 0xFFFF
 
 SERIAL_MAGIC = b"SCKF"
@@ -124,7 +125,7 @@ class FilterParams:
                 f"fingerprint_bits must be in [{bitmatch.MIN_WIDTH}, "
                 f"{bitmatch.MAX_WIDTH}], got {self.fingerprint_bits}"
             )
-        if not 1 <= self.num_subtables <= 0xFFFFFFFF:
+        if not 1 <= self.num_subtables <= MAX_SUBTABLES:
             raise ValueError(f"num_subtables must be in [1, 2^32), got {self.num_subtables}")
         if not 0 <= self.stash_capacity <= MAX_STASH_CAPACITY:
             raise ValueError(f"stash_capacity must be in [0, {MAX_STASH_CAPACITY}], got {self.stash_capacity}")
@@ -352,9 +353,6 @@ class CuckooFilter(_Addressing):
         local = cell & self._fp_mask
         return min(local, local ^ fingerprint)
 
-    def _slot(self, cell: int, slot: int) -> int:
-        return (self._cells[cell] >> (slot * self._f)) & self._fp_mask
-
     def _set_slot(self, cell: int, slot: int, value: int) -> None:
         self._cells[cell] = bitmatch.write_lane(self._cells[cell], slot, self._f, value)
 
@@ -414,54 +412,54 @@ class CuckooFilter(_Addressing):
     def _evict_path(self, home: int, alt: int) -> int | None:
         """Breadth-first eviction search from two full candidate cells.
 
-        Walks cells reachable by relocating one stored fingerprint, up to
-        max_evictions visited cells.  Relocations are applied only after a
-        complete path to a free cell is known, so a failed search leaves
-        the table untouched.  Returns the cell that ends up with a free
-        slot for the new fingerprint, or None.
+        ``came_from`` is the predecessor map: visited cell -> (cell, slot)
+        whose fingerprint would move into it, each root -> None.  Its size
+        is the budget count: max_evictions visited cells, roots included.
+        Moves are applied only once a path to a free cell is known, so a
+        failed search leaves the table untouched.  Returns the root cell
+        that ends up with a free slot, or None.
         """
         block = self._block_size
+        f = self._f
+        mask = self._fp_mask
+        cells = self._cells
         occupancy = self._occupancy
         budget = self.params.max_evictions
-        visited = {home, alt}
-        # parent links: (cell, parent_entry, slot_in_parent)
-        level = [(cell, None, 0) for cell in sorted((home, alt))]
-        seen = 2
+        level = sorted((home, alt))
+        came_from = dict.fromkeys(level)
         while level:
-            free_hits = []
+            free = []
             next_level = []
-            for entry in level:
-                cell = entry[0]
+            for cell in level:
+                stored = cells[cell]
                 for slot in range(block):
-                    if seen >= budget:
+                    if len(came_from) >= budget:
                         break
-                    neighbor = self._alt(cell, self._slot(cell, slot))
-                    if neighbor in visited:
+                    neighbor = self._alt(cell, stored & mask)
+                    stored >>= f
+                    if neighbor in came_from:
                         continue
-                    visited.add(neighbor)
-                    seen += 1
-                    child = (neighbor, entry, slot)
+                    came_from[neighbor] = (cell, slot)
                     if occupancy[neighbor] < block:
-                        free_hits.append(child)
+                        free.append(neighbor)
                     else:
-                        next_level.append(child)
-            if free_hits:
+                        next_level.append(neighbor)
+            if free:
                 # ties between equal-depth free cells: lowest global index
-                return self._relocate(min(free_hits, key=lambda c: c[0]))
+                return self._relocate(min(free), came_from)
             level = next_level
         return None
 
-    def _relocate(self, tail) -> int:
-        """Apply a found eviction path leaf-first; returns the freed root cell."""
-        moves = []
-        entry = tail
-        while entry[1] is not None:
-            moves.append((entry[1][0], entry[2], entry[0]))
-            entry = entry[1]
-        for source, slot, destination in moves:
-            self._place(destination, self._slot(source, slot))
+    def _relocate(self, cell: int, came_from: dict) -> int:
+        """Apply the path in came_from leaf-first; returns the freed root cell."""
+        step = came_from[cell]
+        while step is not None:
+            source, slot = step
+            self._place(cell, (self._cells[source] >> slot * self._f) & self._fp_mask)
             self._clear(source, slot)
-        return entry[0]
+            cell = source
+            step = came_from[cell]
+        return cell
 
     # -- serialization --------------------------------------------------------
 

@@ -115,7 +115,6 @@ def build_filter(
     seed: int,
     variant: Variant = Variant.SIMPLIFIED,
     stash_capacity: int = 0,
-    max_evictions: int = 512,
 ) -> CuckooFilter:
     params = FilterParams(
         capacity=n,
@@ -125,7 +124,6 @@ def build_filter(
         variant=variant,
         stash_capacity=stash_capacity,
         seed=seed,
-        max_evictions=max_evictions,
     )
     return CuckooFilter(params)
 
@@ -289,22 +287,22 @@ def run_failure_sweep(
     fingerprint_grid,
     trials: int,
     base_seed: int = 0,
-    failure_exponent: float = 1.0,
 ) -> list[TrialRecord]:
     """Construction-failure fraction per fingerprint width at fixed load.
 
-    The bound column is the predicted failure probability: n**-s once the
-    width clears both planner bounds, vacuously 1 below them.
+    The bound column is the predicted failure probability at failure
+    exponent s = 1: n**-1 once the width clears both planner bounds,
+    vacuously 1 below them.
     """
     records = []
     slack = planner.max_load_slack(block_size)
     recommended = max(
-        planner.subtable_fingerprint_bits(n, failure_exponent, block_size),
-        planner.balance_fingerprint_bits(n, failure_exponent, slack, block_size),
+        planner.subtable_fingerprint_bits(n, 1.0, block_size),
+        planner.balance_fingerprint_bits(n, 1.0, slack, block_size),
         2,
     )
     for bits in fingerprint_grid:
-        bound = n ** (-failure_exponent) if bits >= recommended else 1.0
+        bound = n ** -1.0 if bits >= recommended else 1.0
         subtables = subtables_for_load(n, block_size, bits, load)
         record = _construction_record(
             "failsweep", Variant.SIMPLIFIED, n, block_size, bits,

@@ -25,7 +25,8 @@ result before returning it.
 import math
 from dataclasses import dataclass, field
 
-from .filter import MAX_BLOCK_SIZE
+from .bitmatch import MAX_WIDTH
+from .filter import MAX_BLOCK_SIZE, MAX_SUBTABLES
 
 _SLACK_COEFF = 1.0 - math.log(2.0)
 
@@ -33,7 +34,8 @@ _SLACK_COEFF = 1.0 - math.log(2.0)
 # that desk-scale tables need enormous subtables; flag it
 SLACK_WARN_THRESHOLD = 0.25
 
-MAX_FINGERPRINT_BITS = 32
+# a request's load slack lies in (0, MAX_LOAD_SLACK)
+MAX_LOAD_SLACK = 0.5
 
 
 class InfeasiblePlanError(ValueError):
@@ -42,8 +44,9 @@ class InfeasiblePlanError(ValueError):
 
 def min_block_size(load_slack: float) -> int:
     """Smallest block size that supports a given load slack."""
-    _check_slack(load_slack, upper=1.0)
-    return math.ceil(1.0 + math.log(1.0 / load_slack) / _SLACK_COEFF - 1e-9)
+    check_load_slack(load_slack, upper=1.0)
+    # -log rather than log(1/x): 1/x overflows for subnormal slacks
+    return math.ceil(1.0 - math.log(load_slack) / _SLACK_COEFF - 1e-9)
 
 
 def max_load_slack(block_size: int) -> float:
@@ -55,9 +58,9 @@ def max_load_slack(block_size: int) -> float:
 
 def balance_fingerprint_bound(n: int, failure_exponent: float, load_slack: float, block_size: int) -> float:
     """Exact (un-ceiled) fingerprint-bit requirement for subtable balance."""
-    _check_n(n)
-    _check_exponent(failure_exponent)
-    _check_slack(load_slack, upper=1.0)
+    check_n(n)
+    check_failure_exponent(failure_exponent)
+    check_load_slack(load_slack, upper=1.0)
     if block_size < 1:
         raise ValueError(f"block_size must be positive, got {block_size}")
     return math.log2(
@@ -76,8 +79,8 @@ def subtable_fingerprint_bound(n: int, failure_exponent: float, block_size: int)
     This is the whole-table guarantee: a union bound over the subtables
     raises the exponent from s to s + 1.
     """
-    _check_n(n)
-    _check_exponent(failure_exponent)
+    check_n(n)
+    check_failure_exponent(failure_exponent)
     if block_size < 1:
         raise ValueError(f"block_size must be positive, got {block_size}")
     return (failure_exponent + 1.0) * math.log2(n) / block_size
@@ -104,15 +107,20 @@ def false_positive_bound(n: int, num_cells: int, block_size: int, fingerprint_bi
     return 2.0 * n / (num_cells * ((1 << fingerprint_bits) - 1))
 
 
-def fingerprint_bits_for_rate(target_rate: float, block_size: int, load: float) -> int:
-    """Fingerprint bits needed to push the false-positive bound under target.
+def fingerprint_rate_bound(target_rate: float, block_size: int, load: float) -> float:
+    """Exact (un-ceiled) fingerprint bits that push the false-positive bound
+    under target.
 
     Uses the load form of the bound, which only shrinks when the planner
     later rounds the table up to whole subtables.
     """
-    if not 0.0 < target_rate < 1.0:
-        raise ValueError(f"target rate must be in (0, 1), got {target_rate}")
-    return math.ceil(math.log2(2.0 * block_size * load / target_rate + 1.0))
+    check_fp_rate(target_rate)
+    return math.log2(2.0 * block_size * load / target_rate + 1.0)
+
+
+def fingerprint_bits_for_rate(target_rate: float, block_size: int, load: float) -> int:
+    """Ceiling of fingerprint_rate_bound."""
+    return math.ceil(fingerprint_rate_bound(target_rate, block_size, load))
 
 
 @dataclass(frozen=True)
@@ -129,16 +137,16 @@ class PlanRequest:
     target_fp_rate: float | None = None
 
     def __post_init__(self):
-        _check_n(self.n)
-        _check_exponent(self.failure_exponent)
+        check_n(self.n)
+        check_failure_exponent(self.failure_exponent)
         if self.load_slack is None and self.block_size is None:
             raise ValueError("give load_slack or block_size (or both)")
         if self.load_slack is not None:
-            _check_slack(self.load_slack, upper=0.5)
+            check_load_slack(self.load_slack)
         if self.block_size is not None and not 1 <= self.block_size <= MAX_BLOCK_SIZE:
             raise ValueError(f"block_size must be in [1, {MAX_BLOCK_SIZE}], got {self.block_size}")
-        if self.target_fp_rate is not None and not 0.0 < self.target_fp_rate < 1.0:
-            raise ValueError(f"target_fp_rate must be in (0, 1), got {self.target_fp_rate}")
+        if self.target_fp_rate is not None:
+            check_fp_rate(self.target_fp_rate)
 
 
 @dataclass(frozen=True)
@@ -170,11 +178,15 @@ def plan(request: PlanRequest) -> PlanResult:
     warnings = []
     if block is None:
         block = min_block_size(delta)
+        if block > MAX_BLOCK_SIZE:
+            raise InfeasiblePlanError(
+                f"load slack {delta} needs block size {block}, above the {MAX_BLOCK_SIZE} maximum"
+            )
     elif delta is None:
         delta = max_load_slack(block)
-        if delta >= 0.5:
+        if delta >= MAX_LOAD_SLACK:
             raise InfeasiblePlanError(
-                f"block_size={block} only supports load slack {delta:.3f} >= 0.5; "
+                f"block_size={block} only supports load slack {delta:.3f} >= {MAX_LOAD_SLACK}; "
                 "use block_size >= 4 or give load_slack explicitly"
             )
     elif block < min_block_size(delta):
@@ -189,18 +201,35 @@ def plan(request: PlanRequest) -> PlanResult:
         )
 
     load = 1.0 - delta - delta * delta
+    bounds = {
+        "balance": balance_fingerprint_bound(n, s, delta, block),
+        "subtable": subtable_fingerprint_bound(n, s, block),
+    }
+    if request.target_fp_rate is not None:
+        bounds["rate"] = fingerprint_rate_bound(request.target_fp_rate, block, load)
+    for name, bound in bounds.items():
+        # checked before any ceil: a bound that overflowed is inf
+        if bound > MAX_WIDTH:
+            raise InfeasiblePlanError(
+                f"the {name} bound needs {bound:.6g} fingerprint bits, above the {MAX_WIDTH} maximum"
+            )
     balance_bits = balance_fingerprint_bits(n, s, delta, block)
     subtable_bits = subtable_fingerprint_bits(n, s, block)
     rate_bits = 0
     if request.target_fp_rate is not None:
         rate_bits = fingerprint_bits_for_rate(request.target_fp_rate, block, load)
     bits = max(balance_bits, subtable_bits, rate_bits, 2)
-    if bits > MAX_FINGERPRINT_BITS:
+    if bits > MAX_WIDTH:
         raise InfeasiblePlanError(
-            f"request needs {bits} fingerprint bits, above the {MAX_FINGERPRINT_BITS} maximum"
+            f"request needs {bits} fingerprint bits, above the {MAX_WIDTH} maximum"
         )
 
     subtable_cells = 1 << bits
+    # compared before dividing: n may be too large for a float
+    if n > MAX_SUBTABLES * subtable_cells * block * load:
+        raise InfeasiblePlanError(
+            f"n needs more than the {MAX_SUBTABLES} subtables the wire format holds"
+        )
     num_subtables = max(1, math.ceil(n / (block * load * subtable_cells)))
     while num_subtables * subtable_cells * block * load < n:
         num_subtables += 1
@@ -260,16 +289,24 @@ def _verify(result: PlanResult, request: PlanRequest) -> None:
             raise RuntimeError(f"planner produced an inconsistent result: {message}")
 
 
-def _check_n(n: int) -> None:
+# input checks shared by the bounds, PlanRequest and the CLI; each raises
+# ValueError, and NaN fails every one of them
+
+def check_n(n: int) -> None:
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
 
 
-def _check_exponent(s: float) -> None:
-    if s < 1:
-        raise ValueError(f"failure exponent must be at least 1, got {s}")
+def check_failure_exponent(s: float) -> None:
+    if not (math.isfinite(s) and s >= 1):
+        raise ValueError(f"failure exponent must be finite and at least 1, got {s}")
 
 
-def _check_slack(delta: float, upper: float) -> None:
+def check_load_slack(delta: float, upper: float = MAX_LOAD_SLACK) -> None:
     if not 0.0 < delta < upper:
         raise ValueError(f"load slack must be in (0, {upper}), got {delta}")
+
+
+def check_fp_rate(rate: float) -> None:
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"target false-positive rate must be in (0, 1), got {rate}")

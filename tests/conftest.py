@@ -1,19 +1,44 @@
-"""Shared test helpers: element encoding, a batch lane-match oracle pair,
-and an independent table oracle."""
+"""Shared test helpers: element encoding, a numpy lane matcher with its
+oracle pair, and an independent table oracle."""
 
 import random
 
 import numpy as np
 
-from sckf.bitmatch import match_bits_many
 from sckf.hashing import encode_u64
+
+
+def lanes_per_word(width: int) -> int:
+    """Most width-bit lanes match_bits_many can search in a uint64 word."""
+    return 63 // width
+
+
+def match_bits_many(
+    words: np.ndarray, fingerprints: np.ndarray, lane_constant: int, width: int
+) -> np.ndarray:
+    """bitmatch.match_bits over parallel uint64 arrays of words and fingerprints.
+
+    The top lane's carry bit must land inside the word, so lanes * width
+    may not exceed 63 (which also keeps the addition from overflowing).
+    """
+    if lane_constant.bit_length() + width > 64:
+        raise ValueError(
+            f"{lane_constant.bit_count()} lanes of {width} bits exceed the 63-bit budget "
+            "(the top lane's carry bit must stay inside the uint64 word)"
+        )
+    w = np.asarray(words, dtype=np.uint64)
+    fp = np.asarray(fingerprints, dtype=np.uint64)
+    ones = np.uint64((1 << width) - 1)
+    lane_c = np.uint64(lane_constant)
+    q = w ^ ((fp ^ ones) * lane_c)
+    return ((q + lane_c) ^ q ^ lane_c) & np.uint64(lane_constant << width)
 
 
 def find_fingerprint_many(
     words: np.ndarray, fingerprints: np.ndarray, lane_constant: int, width: int
 ) -> np.ndarray:
     """First matching lane per element as int64, -1 where absent, read off
-    the production match_bits_many carry bits."""
+    the match_bits_many carry bits."""
     r = match_bits_many(words, fingerprints, lane_constant, width)
     low = r & (~r + np.uint64(1))
     # lowest set bit is an exact power of two, so float64 log2 is exact

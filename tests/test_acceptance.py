@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import BlockedCuckooTable, find_fingerprint_many, naive_find_many
+from conftest import BlockedCuckooTable, find_fingerprint_many, lanes_per_word, naive_find_many
 from sckf import bitmatch, harness, planner
 from sckf.bloom import BloomFilter, hash_count_for
 from sckf.filter import (
@@ -44,7 +44,7 @@ def test_c01_lane_match_agrees_with_loop_oracle_everywhere():
     randomized = 0
     rng = np.random.default_rng(20240901)
     for width in (4, 8, 12, 16, 31):
-        lanes = bitmatch.lanes_per_word(width)
+        lanes = lanes_per_word(width)
         const = bitmatch.make_lane_constant(width, lanes)
         span_mask = np.uint64((1 << (lanes * width)) - 1)
         cases = 1_000_000

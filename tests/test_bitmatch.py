@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import find_fingerprint_many
+from conftest import find_fingerprint_many, lanes_per_word, match_bits_many
 from sckf import bitmatch
 
 
@@ -26,24 +26,11 @@ def test_lane_constant_examples():
 
 def test_lane_constant_rejects_bad_geometry():
     with pytest.raises(ValueError):
-        # 64 bits leave no carry room inside a uint64 word
-        bitmatch.match_bits_many(
-            np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64),
-            bitmatch.make_lane_constant(4, 16), 4,
-        )
-    with pytest.raises(ValueError):
         bitmatch.make_lane_constant(1, 1)
     with pytest.raises(ValueError):
         bitmatch.make_lane_constant(33, 1)
     with pytest.raises(ValueError):
         bitmatch.make_lane_constant(4, 0)
-
-
-def test_lanes_per_word_leaves_carry_room():
-    for width in range(2, 33):
-        lanes = bitmatch.lanes_per_word(width)
-        assert lanes * width <= 63
-        assert (lanes + 1) * width > 63
 
 
 def test_worked_example_carry_bits():
@@ -56,7 +43,7 @@ def test_worked_example_carry_bits():
 
 def test_empty_word_never_matches():
     for width in (2, 4, 8, 16, 31):
-        lanes = bitmatch.lanes_per_word(width)
+        lanes = lanes_per_word(width)
         constant = bitmatch.make_lane_constant(width, lanes)
         for fp in (1, (1 << width) - 1):
             assert bitmatch.find_fingerprint(0, fp, constant, width) is None
@@ -76,7 +63,7 @@ def test_exhaustive_small_geometries(width, max_lanes):
 def test_carry_bits_confined_to_lane_boundaries():
     rng = np.random.default_rng(11)
     for width in (3, 5, 8, 13):
-        lanes = bitmatch.lanes_per_word(width)
+        lanes = lanes_per_word(width)
         constant = bitmatch.make_lane_constant(width, lanes)
         boundary_mask = constant << width
         words = rng.integers(0, 1 << (lanes * width), size=2000, dtype=np.uint64)
@@ -89,28 +76,13 @@ def test_carry_bits_confined_to_lane_boundaries():
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), width=st.sampled_from([2, 3, 4, 6, 8, 12, 16, 21, 31]))
 def test_find_matches_naive_property(data, width):
-    lanes = bitmatch.lanes_per_word(width)
+    lanes = lanes_per_word(width)
     constant = bitmatch.make_lane_constant(width, lanes)
     word = data.draw(st.integers(min_value=0, max_value=(1 << (lanes * width)) - 1))
     fp = data.draw(st.integers(min_value=1, max_value=(1 << width) - 1))
     assert bitmatch.find_fingerprint(word, fp, constant, width) == bitmatch.naive_find(
         word, fp, width, lanes
     )
-
-
-def test_vectorized_forms_match_scalar():
-    rng = np.random.default_rng(7)
-    for width in (4, 8, 12, 16, 31):
-        lanes = bitmatch.lanes_per_word(width)
-        constant = bitmatch.make_lane_constant(width, lanes)
-        words = rng.integers(0, 1 << (lanes * width), size=5000, dtype=np.uint64)
-        fps = rng.integers(1, 1 << width, size=5000, dtype=np.uint64)
-        batch = find_fingerprint_many(words, fps, constant, width)
-        for i in range(words.size):
-            scalar = bitmatch.find_fingerprint(int(words[i]), int(fps[i]), constant, width)
-            assert batch[i] == (-1 if scalar is None else scalar)
-            scalar_bits = bitmatch.match_bits(int(words[i]), int(fps[i]), constant, width)
-            assert (scalar_bits != 0) == (batch[i] >= 0)
 
 
 def test_find_in_words_returns_lowest_slot():
@@ -152,3 +124,36 @@ def test_lane_read_write_clear():
     assert word == 9 | (5 << 18)
     word = bitmatch.write_lane(word, 0, width, 0)
     assert word == 5 << 18
+
+
+# -- the numpy matcher and lane count in conftest (test-only oracles) --------
+
+def test_lanes_per_word_leaves_carry_room():
+    for width in range(2, 33):
+        lanes = lanes_per_word(width)
+        assert lanes * width <= 63
+        assert (lanes + 1) * width > 63
+
+
+def test_match_bits_many_keeps_carry_budget():
+    with pytest.raises(ValueError):
+        # 64 bits leave no carry room inside a uint64 word
+        match_bits_many(
+            np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64),
+            bitmatch.make_lane_constant(4, 16), 4,
+        )
+
+
+def test_vectorized_forms_match_scalar():
+    rng = np.random.default_rng(7)
+    for width in (4, 8, 12, 16, 31):
+        lanes = lanes_per_word(width)
+        constant = bitmatch.make_lane_constant(width, lanes)
+        words = rng.integers(0, 1 << (lanes * width), size=5000, dtype=np.uint64)
+        fps = rng.integers(1, 1 << width, size=5000, dtype=np.uint64)
+        batch = find_fingerprint_many(words, fps, constant, width)
+        for i in range(words.size):
+            scalar = bitmatch.find_fingerprint(int(words[i]), int(fps[i]), constant, width)
+            assert batch[i] == (-1 if scalar is None else scalar)
+            scalar_bits = bitmatch.match_bits(int(words[i]), int(fps[i]), constant, width)
+            assert (scalar_bits != 0) == (batch[i] >= 0)

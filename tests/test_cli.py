@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sckf import cli
 
@@ -44,6 +46,52 @@ def test_plan_infeasible_exits_two(capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--n", "100", "--b", "8", "--s", "1e308"],
+        ["plan", "--n", "100", "--delta", "1e-300"],
+        ["plan", "--n", "100", "--delta", "1e-80"],
+        ["plan", "--n", "100", "--b", "8", "--target-fp-rate", "1e-320"],
+        # more subtables than the wire format's u32 count, and an n past float range
+        ["plan", "--n", str(2**70), "--b", "8"],
+        ["plan", "--n", str(2**2000), "--b", "255", "--delta", "0.1"],
+    ],
+    ids=["s-1e308", "delta-1e-300", "delta-1e-80", "fp-rate-1e-320", "n-2^70", "n-2^2000"],
+)
+def test_extreme_plan_exits_two(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("infeasible:") and "Traceback" not in err
+
+
+def _flag(values):
+    """Absent, in range, or anything at all (NaN, infinities, subnormals)."""
+    return st.one_of(st.none(), values, st.floats(), st.integers())
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.one_of(st.integers(min_value=2, max_value=10**9), st.integers(max_value=2**3000)),
+    b=st.one_of(st.integers(min_value=1, max_value=255), st.none(), st.integers()),
+    delta=_flag(st.floats(min_value=0.0, max_value=0.5)),
+    s=_flag(st.floats(min_value=1.0)),
+    rate=_flag(st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_plan_exits_with_a_contract_code(n, b, delta, s, rate):
+    argv = ["plan", f"--n={n}"]
+    for flag, value in (("--b", b), ("--delta", delta), ("--s", s), ("--target-fp-rate", rate)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 1
+    else:
+        assert code in (0, 2)
+
+
 def test_usage_error_exits_one(capsys):
     # argparse raises SystemExit on usage errors; the code must be 1
     bad = (
@@ -81,6 +129,15 @@ def test_usage_error_exits_one(capsys):
         ["fprate", "--n", "100", "--f", "8", "--b", "256"],
         ["plan", "--n", "100", "--b", "300"],
         ["bloom", "--n", "10", "--bits", "0"],
+        ["plan", "--n", "100", "--b", "8", "--delta", "0.7"],
+        ["plan", "--n", "100", "--b", "8", "--s", "0.5"],
+        ["plan", "--n", "100", "--b", "8", "--s", "nan"],
+        ["plan", "--n", "100", "--b", "8", "--s", "inf"],
+        ["plan", "--n", "100", "--b", "8", "--target-fp-rate", "2"],
+        ["plan", "--n", "100", "--b", "8", "--target-fp-rate", "nan"],
+        ["plan", "--n", "100", "--delta", "nan"],
+        ["plan", "--n", "1", "--b", "8"],
+        ["plan", "--n", "0", "--b", "8"],
     )
     for argv in bad:
         with pytest.raises(SystemExit) as excinfo:

@@ -1,5 +1,6 @@
 """Filter behaviour: addressing, inserts, queries, deletes, and the stash."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -223,18 +224,24 @@ def test_load_factor_counts_table_slots_only():
 
 
 def test_failed_insert_is_a_no_op():
-    filt = make_filter(capacity=16, block_size=1, fingerprint_bits=2, num_subtables=1)
-    outcomes = []
-    snapshots = []
-    for element in counters(0, 40):
-        before = filt.to_bytes()
-        outcome = filt.insert(element)
-        outcomes.append(outcome)
-        if outcome is InsertOutcome.FAILED:
-            snapshots.append((before, filt.to_bytes()))
-    assert outcomes.count(InsertOutcome.FAILED) > 0
-    for before, after in snapshots:
-        assert before == after
+    # budgets 2 and 3 stop the search inside its first level, 17 and 512
+    # let it run out of reachable cells
+    for budget in (2, 3, 17, 512):
+        filt = make_filter(
+            capacity=16, block_size=1, fingerprint_bits=2, num_subtables=1,
+            max_evictions=budget,
+        )
+        outcomes = []
+        snapshots = []
+        for element in counters(0, 40):
+            before = filt.to_bytes()
+            outcome = filt.insert(element)
+            outcomes.append(outcome)
+            if outcome is InsertOutcome.FAILED:
+                snapshots.append((before, filt.to_bytes()))
+        assert outcomes.count(InsertOutcome.FAILED) > 0
+        for before, after in snapshots:
+            assert before == after
 
 
 def test_stash_saturation_example():
@@ -410,6 +417,49 @@ def test_eviction_budget_bounds_the_search():
     )
     generous_outcomes = [generous.insert(element) for element in counters(0, 600)]
     assert generous_outcomes.count(InsertOutcome.STORED) > outcomes.count(InsertOutcome.STORED)
+
+
+# (variant, max_evictions): SHA-256 of to_bytes() and of the comma-joined
+# InsertOutcome values after inserting counters up to 1.1x the 128 slots of
+# a b=2, f=6 table, recorded from the eviction search before it kept its
+# visited cells in one predecessor map.  Budgets 2, 3 and 17 cut searches
+# off partway through a BFS level; 100 exceeds the 64 cells.
+GOLDEN_EVICTION_FILLS = {
+    (Variant.SIMPLIFIED, 2): (
+        "4f74fcc113232f5ef04756c96b09bc6bd606e424c3ed20710f815dcc6109b17f",
+        "a6df898b7437c8e1a506766b359749cf17082f1048bb55bc4807ef8da0b15965",
+    ),
+    (Variant.SIMPLIFIED, 3): (
+        "2b098a010124b7cbf62543d6d22e86d6f83a3f76ad1b3ed49c29dc3174edb2a3",
+        "57390c20ec04418a9962c6d58ff6b353291707f3c43c4ca08344eceae2ff0715",
+    ),
+    (Variant.SIMPLIFIED, 17): (
+        "985f440b561c158ba3d32a411e6f340ef42409c8bbb1736aa16aa55f3d5136e7",
+        "ffbcaa9a9852d0cafcd1ff8b890eeb9fefcf0608fb192d9dd452d1201a4fc84a",
+    ),
+    (Variant.SIMPLIFIED, 100): (
+        "71bb30ba8e37d478fcb80af53f3807ffe89704bd4784ed362d7604e64655edd0",
+        "15bc08ccb7bcbaa6b2072dece9b11900e285b44a7f883f1c66331840e39f1794",
+    ),
+    (Variant.ORIGINAL, 17): (
+        "a100451646bbaa13f8ba4c88a98b86c33ed71b98a8d848c5efa93af32bc23b70",
+        "a56818d704b1936e9130ea77b9a6732c320025c42f43512b2b0e9bb5cbdf9d82",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant,budget", list(GOLDEN_EVICTION_FILLS))
+def test_budget_edge_fill_matches_recorded_digest(variant, budget):
+    filt = make_filter(
+        capacity=128, block_size=2, fingerprint_bits=6, num_subtables=1,
+        variant=variant, max_evictions=budget, seed=7,
+    )
+    elements = counters(0, filt.params.total_slots * 11 // 10)
+    outcomes = [filt.insert(element) for element in elements]
+    payload_digest, outcomes_digest = GOLDEN_EVICTION_FILLS[variant, budget]
+    assert hashlib.sha256(filt.to_bytes()).hexdigest() == payload_digest
+    joined = ",".join(outcome.value for outcome in outcomes)
+    assert hashlib.sha256(joined.encode()).hexdigest() == outcomes_digest
 
 
 def test_behaves_like_direct_blocked_cuckoo_table():

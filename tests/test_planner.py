@@ -140,6 +140,11 @@ def test_plan_request_validation():
         PlanRequest(n=100, block_size=8, failure_exponent=0.0)
     with pytest.raises(ValueError):
         PlanRequest(n=100, block_size=8, target_fp_rate=1.5)
+    for exponent in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            PlanRequest(n=100, block_size=8, failure_exponent=exponent)
+    with pytest.raises(ValueError):
+        PlanRequest(n=100, block_size=8, target_fp_rate=math.nan)
 
 
 # -- plan composition ---------------------------------------------------------
@@ -204,6 +209,23 @@ def test_plan_infeasible_cases():
         plan(PlanRequest(n=100, block_size=4, load_slack=0.05))  # b below min
     with pytest.raises(InfeasiblePlanError):
         plan(PlanRequest(n=10**6, block_size=8, target_fp_rate=1e-12))  # f > 32
+
+
+@pytest.mark.parametrize(
+    "request_, reason",
+    [
+        (PlanRequest(n=100, load_slack=1e-300), "block size 2253"),  # delta**4 underflows
+        (PlanRequest(n=100, load_slack=5e-324), "block size"),
+        (PlanRequest(n=100, block_size=8, failure_exponent=1e308), "balance bound needs inf"),
+        (PlanRequest(n=100, block_size=8, target_fp_rate=1e-320), "rate bound needs inf"),
+        (PlanRequest(n=2**70, block_size=8), "subtables"),
+        (PlanRequest(n=2**2000, block_size=255, load_slack=0.1), "subtables"),
+    ],
+    ids=["slack-1e-300", "slack-subnormal", "s-1e308", "fp-rate-1e-320", "n-2^70", "n-2^2000"],
+)
+def test_plan_refuses_extreme_requests_before_overflow(request_, reason):
+    with pytest.raises(InfeasiblePlanError, match=reason):
+        plan(request_)
 
 
 def test_plan_explicit_slack_overrides_block_derivation():
