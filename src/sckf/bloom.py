@@ -1,8 +1,9 @@
 """Plain Bloom filter used as the false-positive baseline in experiments.
 
-Probes use double hashing: probe i lands at ``(h_a + i * h_b) mod bits``.
-Index arithmetic wraps at 64 bits before the final modulo so the scalar
-and vectorized paths are bit-identical.
+Probes use double hashing: probe i lands at ``(h_a + i * h_b) mod bits``,
+where h_b is reduced mod bits and a zero step becomes one.  Index
+arithmetic wraps at 64 bits before the final modulo, so the scalar oracle
+in the tests (the same probes over 8-byte LE elements) is bit-identical.
 """
 
 import math
@@ -37,20 +38,6 @@ class BloomFilter:
         self._seed_b = hashing.derive_seed(self.seed, _STREAM_B)
         self._bits = np.zeros(num_bits, dtype=bool)
 
-    def add(self, element: bytes) -> None:
-        a = hashing.hash_bytes(element, self._seed_a)
-        b = self._step(hashing.hash_bytes(element, self._seed_b))
-        for i in range(self.num_hashes):
-            self._bits[((a + i * b) & hashing.MASK64) % self.num_bits] = True
-
-    def contains(self, element: bytes) -> bool:
-        a = hashing.hash_bytes(element, self._seed_a)
-        b = self._step(hashing.hash_bytes(element, self._seed_b))
-        return all(
-            self._bits[((a + i * b) & hashing.MASK64) % self.num_bits]
-            for i in range(self.num_hashes)
-        )
-
     def add_many(self, values: np.ndarray) -> None:
         """Vectorized add of 64-bit counters (8-byte LE elements)."""
         a, b = self._hash_many(values)
@@ -71,10 +58,3 @@ class BloomFilter:
         step = b % np.uint64(self.num_bits)
         step = np.where(step == 0, np.uint64(1), step)
         return a, step
-
-    def _step(self, raw: int) -> int:
-        step = raw % self.num_bits
-        return step if step else 1
-
-    def fill_fraction(self) -> float:
-        return float(self._bits.mean())

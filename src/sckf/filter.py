@@ -19,7 +19,15 @@ addressing.  Elements are ``bytes`` or ``bytearray``, else TypeError.
 Each cell is one Python int that holds slot k at bits [k*f, (k+1)*f):
 exactly the cell's block in the v1 wire format.  A block is probed for a
 fingerprint, or for its lowest empty slot, with one bit-parallel lane match
-over the whole int, whatever its width.
+over the whole int, whatever its width.  A cell's occupied slots are the
+prefix [0, occupancy) unless a delete left a hole; an insert checks that the
+bits from slot ``occupancy`` up are zero and then appends there without a
+lane search, and otherwise fills the lowest empty slot.  Both rules pick the
+same slot.
+
+``insert_hashed`` takes a global home index in [0, num_cells) and a
+fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
+ValueError and non-integers a TypeError.
 
 Inserts that cannot be placed even after a bounded breadth-first eviction
 search overflow into a small per-subtable stash (simplified variant only);
@@ -34,6 +42,7 @@ move freely between threads or processes.
 """
 
 import enum
+import operator
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -256,28 +265,45 @@ class CuckooFilter(_Addressing):
         """Insert by precomputed global home cell and fingerprint.
 
         Exposed so bulk experiments can batch the hashing; behaves exactly
-        like insert() for the element that hashed to these values.
+        like insert() for the element that hashed to these values.  home
+        is a global cell index in [0, num_cells) and fingerprint lies in
+        [1, 2^fingerprint_bits - 1], else ValueError.  numpy integers are
+        taken as Python ints; other types raise TypeError.
         """
+        if type(home) is not int or type(fingerprint) is not int:
+            # a numpy fingerprint shifted past bit 63 would wrap to zero
+            home, fingerprint = operator.index(home), operator.index(fingerprint)
+        if not (0 <= home < self._n_cells and 1 <= fingerprint <= self._fp_mask):
+            raise ValueError(
+                f"need home in [0, {self._n_cells}) and fingerprint in "
+                f"[1, {self._fp_mask}], got home={home}, fingerprint={fingerprint}"
+            )
         occupancy = self._occupancy
         block = self._block_size
-        if occupancy[home] < block:
-            self._place(home, fingerprint)
-            return InsertOutcome.STORED
-        alt = self._alt(home, fingerprint)
-        if occupancy[alt] < block:
-            self._place(alt, fingerprint)
-            return InsertOutcome.STORED
-        freed = self._evict_path(home, alt)
-        if freed is not None:
-            self._place(freed, fingerprint)
-            return InsertOutcome.STORED
-        # FilterParams allows a stash only on the simplified variant
-        stash = self._stashes[home >> self._f]
-        if len(stash) < self.params.stash_capacity:
-            stash.append((self._canonical_local(home, fingerprint), fingerprint))
-            self._stash_count += 1
-            return InsertOutcome.STASHED
-        return InsertOutcome.FAILED
+        cell = home
+        if occupancy[cell] == block:
+            cell = alt = self._alt(home, fingerprint)
+            if occupancy[cell] == block:
+                cell = self._evict_path(home, alt)
+        if cell is None:
+            # FilterParams allows a stash only on the simplified variant
+            stash = self._stashes[home >> self._f]
+            if len(stash) < self.params.stash_capacity:
+                stash.append((self._canonical_local(home, fingerprint), fingerprint))
+                self._stash_count += 1
+                return InsertOutcome.STASHED
+            return InsertOutcome.FAILED
+        stored = self._cells[cell]
+        occ = occupancy[cell]
+        shift = occ * self._f
+        if stored >> shift:
+            # a delete or an eviction left a hole below slot occ: fill the lowest
+            shift = self._find_slot(cell, 0) * self._f
+        # else slots [0, occ) are full and the rest empty: append at occ
+        self._cells[cell] = stored | fingerprint << shift
+        occupancy[cell] = occ + 1
+        self._table_count += 1
+        return InsertOutcome.STORED
 
     def query(self, element: bytes) -> bool:
         """Membership check: never false for a stored element."""

@@ -508,3 +508,163 @@ def test_original_variant_round_trip():
     for element in elements[:500]:
         assert filt.delete(element)
     assert filt.stored_count == 3500
+
+
+# -- placement after deletes ------------------------------------------------
+
+
+HEADER_SIZE = 32
+
+
+def _block(filt: CuckooFilter, cell: int) -> list[int]:
+    """Slot values of one cell, read from its one-word wire block."""
+    f = filt.params.fingerprint_bits
+    assert filt.params.block_size * f <= 64
+    start = HEADER_SIZE + 8 * cell
+    word = int.from_bytes(filt.to_bytes()[start : start + 8], "little")
+    return [(word >> (slot * f)) & ((1 << f) - 1) for slot in range(filt.params.block_size)]
+
+
+def test_insert_fills_the_lowest_hole_a_delete_left():
+    filt = make_filter(capacity=64, block_size=4, fingerprint_bits=8, num_subtables=1, seed=3)
+    homes, fps = filt.hash_many(np.arange(20000, dtype=np.uint64))
+    cell = 5
+    # values homed at the cell with distinct fingerprints, so each delete
+    # finds exactly the copy it was aimed at
+    picked = {}
+    for value, home, fp in zip(range(20000), homes.tolist(), fps.tolist()):
+        if home == cell and fp not in picked:
+            picked[fp] = value
+    values = list(picked.values())[:7]
+    assert len(values) == 7
+    fp_of = {value: fp for fp, value in picked.items()}
+    for value in values[:4]:
+        assert filt.insert(encode_u64(value)) is InsertOutcome.STORED
+    assert _block(filt, cell) == [fp_of[v] for v in values[:4]]
+    # slot 0, then slot b-2
+    assert filt.delete(encode_u64(values[0]))
+    assert filt.delete(encode_u64(values[2]))
+    assert _block(filt, cell) == [0, fp_of[values[1]], 0, fp_of[values[3]]]
+    assert filt.insert(encode_u64(values[4])) is InsertOutcome.STORED
+    assert _block(filt, cell) == [fp_of[values[4]], fp_of[values[1]], 0, fp_of[values[3]]]
+    assert filt.insert(encode_u64(values[5])) is InsertOutcome.STORED
+    full = [fp_of[values[4]], fp_of[values[1]], fp_of[values[5]], fp_of[values[3]]]
+    assert _block(filt, cell) == full
+    # the cell is full again, so the next one goes elsewhere
+    assert filt.insert(encode_u64(values[6])) is InsertOutcome.STORED
+    assert _block(filt, cell) == full
+    assert filt.query(encode_u64(values[6]))
+
+
+def _holed_filter() -> CuckooFilter:
+    """b=4, f=8, one subtable; cell 5 holds [7, hole, 0x10, empty]."""
+    empty = make_filter(capacity=64, block_size=4, fingerprint_bits=8, num_subtables=1)
+    payload = bytearray(empty.to_bytes())
+    payload[24:32] = (2).to_bytes(8, "little")  # header's stored count
+    payload[HEADER_SIZE + 8 * 5] = 7
+    payload[HEADER_SIZE + 8 * 5 + 2] = 0x10
+    return CuckooFilter.from_bytes(bytes(payload))
+
+
+@pytest.mark.parametrize(
+    "home,fingerprint",
+    [(5, 0), (5, 0x1FF), (-1, 3), (256, 3)],
+    ids=["zero-fingerprint", "wide-fingerprint", "negative-home", "home-past-end"],
+)
+def test_insert_hashed_rejects_out_of_range_input(home, fingerprint):
+    # a zero fingerprint would be counted but read as empty, a wide one
+    # would spill into the next slot (0x10 -> 0x11 here), and a negative
+    # home would index the last cell
+    filt = _holed_filter()
+    before = filt.to_bytes()
+    with pytest.raises(ValueError, match="home"):
+        filt.insert_hashed(home, fingerprint)
+    assert filt.to_bytes() == before
+    assert filt.insert_hashed(5, 0xFF) is InsertOutcome.STORED
+    assert _block(filt, 5) == [7, 0xFF, 0x10, 0]
+
+
+def test_insert_hashed_takes_numpy_integers():
+    # b=8, f=16 blocks are 128 bits wide, so slots 4-7 sit above bit 63
+    params = FilterParams(capacity=3000, block_size=8, fingerprint_bits=16)
+    plain, numpy_fed = CuckooFilter(params), CuckooFilter(params)
+    homes, fps = plain.hash_many(np.arange(3000, dtype=np.uint64))
+    for home, fp in zip(homes.tolist(), fps.tolist()):
+        plain.insert_hashed(home, fp)
+    for home, fp in zip(homes, fps):
+        numpy_fed.insert_hashed(home, fp)
+    assert numpy_fed.to_bytes() == plain.to_bytes()
+    with pytest.raises(TypeError):
+        numpy_fed.insert_hashed(5, 3.0)
+
+
+def _churn(variant: Variant) -> tuple[CuckooFilter, list[str], int]:
+    """Seeded churn on a 512-slot table: fill to ~0.98 load, delete a third,
+    reinsert it, then 3000 interleaved deletes and inserts.  Returns the
+    filter, the outcome of every call and the highest stash count seen."""
+    stash_capacity = 4 if variant is Variant.SIMPLIFIED else 0
+    filt = make_filter(
+        capacity=512, block_size=4, fingerprint_bits=7, num_subtables=1, variant=variant,
+        stash_capacity=stash_capacity, max_evictions=24, seed=31,
+    )
+    rng = random.Random(32)
+    live: list[bytes] = []
+    log: list[str] = []
+    stash_high = 0
+
+    def insert(element: bytes) -> None:
+        nonlocal stash_high
+        outcome = filt.insert(element)
+        log.append(outcome.value)
+        if outcome is not InsertOutcome.FAILED:
+            live.append(element)
+        stash_high = max(stash_high, filt.stash_count)
+
+    def delete_random() -> bytes:
+        element = live.pop(rng.randrange(len(live)))
+        assert filt.delete(element)
+        log.append("deleted")
+        return element
+
+    for element in counters(0, 500):
+        insert(element)
+    removed = [delete_random() for _ in range(len(live) // 3)]
+    for element in removed:
+        insert(element)
+    fresh = iter(counters(10**6, 3000))
+    for _ in range(3000):
+        if live and rng.random() < 0.5:
+            delete_random()
+        else:
+            insert(next(fresh))
+    assert filt.stored_count == len(live)
+    assert all(filt.query(element) for element in live)
+    return filt, log, stash_high
+
+
+# variant: SHA-256 of to_bytes() and of the comma-joined call outcomes of
+# _churn, recorded before inserts into hole-free cells skipped the lane
+# search
+GOLDEN_CHURN = {
+    Variant.SIMPLIFIED: (
+        "dbdb8d46322150eff2270dadd401ed8e373fd05f868a4071f3d55052b2911cdc",
+        "0156f83ff42ef2260da30190cf2181dd868f655143d895b3cd70ea605b53ca08",
+    ),
+    Variant.ORIGINAL: (
+        "e7444dd0885c557045182ed103d9b59ba3758be69f4fcfe40babc59f2dd3bc75",
+        "954058ec326a1e907c5d27d1a664b47fe760c1d740e9f5b2d828d58b2d1d3aa8",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", list(GOLDEN_CHURN))
+def test_churn_placement_matches_recorded_digest(variant):
+    filt, log, stash_high = _churn(variant)
+    if variant is Variant.SIMPLIFIED:
+        assert stash_high > 0
+    payload_digest, log_digest = GOLDEN_CHURN[variant]
+    got = (
+        hashlib.sha256(filt.to_bytes()).hexdigest(),
+        hashlib.sha256(",".join(log).encode()).hexdigest(),
+    )
+    assert got == (payload_digest, log_digest)
