@@ -20,10 +20,10 @@ Each cell is one Python int that holds slot k at bits [k*f, (k+1)*f):
 exactly the cell's block in the v1 wire format.  A block is probed for a
 fingerprint, or for its lowest empty slot, with one bit-parallel lane match
 over the whole int, whatever its width.  A cell's occupied slots are the
-prefix [0, occupancy) unless a delete left a hole; an insert checks that the
-bits from slot ``occupancy`` up are zero and then appends there without a
-lane search, and otherwise fills the lowest empty slot.  Both rules pick the
-same slot.
+prefix [0, occupancy) unless a delete or an eviction move left a hole; an
+insert checks that the bits from slot ``occupancy`` up are zero and then
+appends there without a lane search, and otherwise fills the lowest empty
+slot.  Both rules pick the same slot.
 
 ``insert_hashed`` takes a global home index in [0, num_cells) and a
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
