@@ -34,10 +34,7 @@ def make_lane_constant(width: int, lanes: int) -> int:
     _check_width(width)
     if lanes < 1:
         raise ValueError(f"need at least one lane, got {lanes}")
-    constant = 0
-    for i in range(lanes):
-        constant |= 1 << (i * width)
-    return constant
+    return sum(1 << (i * width) for i in range(lanes))
 
 
 def match_bits(word: int, fingerprint: int, lane_constant: int, width: int) -> int:
@@ -71,6 +68,7 @@ def naive_find(word: int, fingerprint: int, width: int, lanes: int) -> int | Non
 
 
 def write_lane(word: int, lane: int, width: int, value: int) -> int:
+    """``word`` with lane ``lane`` overwritten by ``value`` (0 empties it)."""
     shift = lane * width
     return (word & ~(((1 << width) - 1) << shift)) | (value << shift)
 

@@ -178,8 +178,12 @@ def _output_flags(p):
 def _emit(records, args) -> int:
     text = harness.render(records, args.format)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"sckf: error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return USAGE_EXIT
     else:
         sys.stdout.write(text)
     return 0

@@ -20,10 +20,10 @@ Each cell is one Python int that holds slot k at bits [k*f, (k+1)*f):
 exactly the cell's block in the v1 wire format.  A block is probed for a
 fingerprint, or for its lowest empty slot, with one bit-parallel lane match
 over the whole int, whatever its width.  A cell's occupied slots are the
-prefix [0, occupancy) unless a delete or an eviction move left a hole; an
-insert checks that the bits from slot ``occupancy`` up are zero and then
-appends there without a lane search, and otherwise fills the lowest empty
-slot.  Both rules pick the same slot.
+prefix [0, occupancy) unless a delete left a hole (an eviction path is
+applied as slot overwrites, so only a delete can); an insert appends at
+slot ``occupancy`` without a lane search when the bits from there up are
+zero, and otherwise fills the lowest empty slot.  Both pick the same slot.
 
 ``insert_hashed`` takes a global home index in [0, num_cells) and a
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
@@ -214,9 +214,11 @@ class _Addressing:
         """Global home cells and fingerprints of 64-bit counters.
 
         Element-wise equal to the hash of encode_u64(v), so insert_hashed
-        on a pair behaves exactly like insert(encode_u64(v)).
+        on a pair behaves exactly like insert(encode_u64(v)).  values must be
+        1-D integers in [0, 2^64), else ValueError; bools, floats and
+        strings raise TypeError.
         """
-        values = np.asarray(values, dtype=np.uint64)
+        values = _counters(values)
         homes = hashing.hash_u64_many(values, self._seed_home) % np.uint64(self._n_cells)
         fps = hashing.hash_u64_many(values, self._seed_fp) % np.uint64(self._fp_mask)
         fps += np.uint64(1)
@@ -281,10 +283,11 @@ class CuckooFilter(_Addressing):
         occupancy = self._occupancy
         block = self._block_size
         cell = home
+        came_from = None
         if occupancy[cell] == block:
             cell = alt = self._alt(home, fingerprint)
             if occupancy[cell] == block:
-                cell = self._evict_path(home, alt)
+                cell, came_from = self._evict_path(home, alt)
         if cell is None:
             # FilterParams allows a stash only on the simplified variant
             stash = self._stashes[home >> self._f]
@@ -293,16 +296,28 @@ class CuckooFilter(_Addressing):
                 self._stash_count += 1
                 return InsertOutcome.STASHED
             return InsertOutcome.FAILED
-        stored = self._cells[cell]
+        cells = self._cells
+        f = self._f
+        stored = cells[cell]
         occ = occupancy[cell]
-        shift = occ * self._f
-        if stored >> shift:
-            # a delete or an eviction left a hole below slot occ: fill the lowest
-            shift = self._find_slot(cell, 0) * self._f
+        slot = occ
+        if stored >> occ * f:
+            # a delete left a hole below slot occ: fill the lowest
+            slot = self._find_slot(cell, 0)
         # else slots [0, occ) are full and the rest empty: append at occ
-        self._cells[cell] = stored | fingerprint << shift
         occupancy[cell] = occ + 1
         self._table_count += 1
+        if came_from is None:
+            cells[cell] = stored | fingerprint << slot * f
+            return InsertOutcome.STORED
+        # leaf-first, each fingerprint on the path steps into the slot vacated
+        # after it; every cell but the leaf was full, so nothing else changes
+        while (step := came_from[cell]) is not None:
+            source, source_slot = step
+            moved = (cells[source] >> source_slot * f) & self._fp_mask
+            cells[cell] = bitmatch.write_lane(cells[cell], slot, f, moved)
+            cell, slot = step
+        cells[cell] = bitmatch.write_lane(cells[cell], slot, f, fingerprint)
         return InsertOutcome.STORED
 
     def query(self, element: bytes) -> bool:
@@ -337,18 +352,11 @@ class CuckooFilter(_Addressing):
     def delete(self, element: bytes) -> bool:
         """Remove exactly one stored copy; False when none is present."""
         home, fp = self._hash(element)
-        if self._remove_from_cell(home, fp):
+        if self._remove_from_cell(home, fp) or self._remove_from_cell(self._alt(home, fp), fp):
             return True
-        if self._remove_from_cell(self._alt(home, fp), fp):
-            return True
-        if not self._stash_count:
+        if not self._stash_contains(home, fp):
             return False
-        stash = self._stashes[home >> self._f]
-        entry = (self._canonical_local(home, fp), fp)
-        try:
-            stash.remove(entry)
-        except ValueError:
-            return False
+        self._stashes[home >> self._f].remove((self._canonical_local(home, fp), fp))
         self._stash_count -= 1
         return True
 
@@ -379,22 +387,6 @@ class CuckooFilter(_Addressing):
         local = cell & self._fp_mask
         return min(local, local ^ fingerprint)
 
-    def _set_slot(self, cell: int, slot: int, value: int) -> None:
-        self._cells[cell] = bitmatch.write_lane(self._cells[cell], slot, self._f, value)
-
-    def _place(self, cell: int, fingerprint: int) -> None:
-        """Drop a fingerprint into the lowest free slot of a non-full cell."""
-        # empty slots are exact zero lanes, so the lowest zero match is genuine
-        self._set_slot(cell, self._find_slot(cell, 0), fingerprint)
-        self._occupancy[cell] += 1
-        self._table_count += 1
-
-    def _clear(self, cell: int, slot: int) -> None:
-        """Empty one occupied slot."""
-        self._set_slot(cell, slot, 0)
-        self._occupancy[cell] -= 1
-        self._table_count -= 1
-
     def _cell_contains(self, cell: int, fingerprint: int) -> bool:
         return bitmatch.match_bits(self._cells[cell], fingerprint, self._lane_const, self._f) != 0
 
@@ -418,7 +410,9 @@ class CuckooFilter(_Addressing):
         slot = self._find_slot(cell, fingerprint)
         if slot is None:
             return False
-        self._clear(cell, slot)
+        self._cells[cell] = bitmatch.write_lane(self._cells[cell], slot, self._f, 0)
+        self._occupancy[cell] -= 1
+        self._table_count -= 1
         return True
 
     def _stash_contains(self, home: int, fingerprint: int) -> bool:
@@ -428,22 +422,21 @@ class CuckooFilter(_Addressing):
         return entry in self._stashes[home >> self._f]
 
     def _stash_contains_many(self, homes: np.ndarray, fps: np.ndarray) -> np.ndarray:
-        stash_fps = {fp for stash in self._stashes for _, fp in stash}
+        stash_fps = np.fromiter({fp for stash in self._stashes for _, fp in stash}, dtype=np.uint64)
         hits = np.zeros(homes.shape, dtype=bool)
-        candidates = np.isin(fps, np.fromiter(stash_fps, dtype=np.uint64))
-        for i in np.nonzero(candidates)[0]:
+        for i in np.flatnonzero(np.isin(fps, stash_fps)):
             hits[i] = self._stash_contains(int(homes[i]), int(fps[i]))
         return hits
 
-    def _evict_path(self, home: int, alt: int) -> int | None:
+    def _evict_path(self, home: int, alt: int) -> tuple[int | None, dict]:
         """Breadth-first eviction search from two full candidate cells.
 
         ``came_from`` is the predecessor map: visited cell -> (cell, slot)
         whose fingerprint would move into it, each root -> None.  Its size
         is the budget count: max_evictions visited cells, roots included.
-        Moves are applied only once a path to a free cell is known, so a
-        failed search leaves the table untouched.  Returns the root cell
-        that ends up with a free slot, or None.
+        Returns the free leaf cell (None when the search fails) and
+        ``came_from``.  It never writes the table; insert_hashed applies
+        the path.
         """
         block = self._block_size
         f = self._f
@@ -472,20 +465,9 @@ class CuckooFilter(_Addressing):
                         next_level.append(neighbor)
             if free:
                 # ties between equal-depth free cells: lowest global index
-                return self._relocate(min(free), came_from)
+                return min(free), came_from
             level = next_level
-        return None
-
-    def _relocate(self, cell: int, came_from: dict) -> int:
-        """Apply the path in came_from leaf-first; returns the freed root cell."""
-        step = came_from[cell]
-        while step is not None:
-            source, slot = step
-            self._place(cell, (self._cells[source] >> slot * self._f) & self._fp_mask)
-            self._clear(source, slot)
-            cell = source
-            step = came_from[cell]
-        return cell
+        return None, came_from
 
     # -- serialization --------------------------------------------------------
 
@@ -631,6 +613,21 @@ class CuckooFilter(_Addressing):
                 stash.append((local, fp))
                 self._stash_count += 1
         return offset
+
+
+def _counters(values) -> np.ndarray:
+    """values as a 1-D uint64 array, checked as hash_many documents."""
+    if not isinstance(values, np.ndarray):
+        # object dtype keeps Python ints exact; numpy would make [1, 2**63] floats
+        values = np.array(values, dtype=object)
+    if values.ndim != 1:
+        raise ValueError(f"counters must be a 1-D batch, got {values.ndim} dimensions")
+    kind = values.dtype.kind
+    if not (kind in "iu" or kind == "O" and all(type(v) is int or isinstance(v, np.integer) for v in values)):
+        raise TypeError(f"counters must be integers, not {values.dtype} elements")
+    if kind != "u" and values.size and not 0 <= values.min() <= values.max() <= hashing.MASK64:
+        raise ValueError("counters must lie in [0, 2^64)")
+    return values.astype(np.uint64, copy=False)
 
 
 def _dense_words_per_block(block_size: int, fingerprint_bits: int) -> int:

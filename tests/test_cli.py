@@ -176,6 +176,18 @@ def test_fprate_writes_output_file(tmp_path, capsys):
     assert out_file.read_text().startswith("experiment,")
 
 
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+def test_unwritable_out_exits_one(target, tmp_path, capsys):
+    out_path = tmp_path if target == "directory" else tmp_path / "missing" / "records.csv"
+    code, out, err = run(
+        ["bloom", "--n", "10", "--bits", "100", "--queries", "10", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sckf: error:") and err.count("\n") == 1
+
+
 def test_fprate_json_format(capsys):
     code, out, _ = run(
         ["fprate", "--n", "500", "--b", "4", "--f", "10", "--queries", "1000",

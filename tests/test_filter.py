@@ -367,6 +367,54 @@ def test_query_many_matches_scalar_queries():
             assert alt_location(location, fp, params) == CellIndex(*divmod(alt, subtable_cells))
 
 
+def _stashed_filter() -> CuckooFilter:
+    filt = make_filter(
+        capacity=16, block_size=1, fingerprint_bits=2, num_subtables=1, stash_capacity=2
+    )
+    for element in counters(0, 60):
+        filt.insert(element)
+    assert filt.stash_count > 0
+    return filt
+
+
+@pytest.mark.parametrize(
+    "values,error",
+    [
+        ([1.5], TypeError),
+        (["1"], TypeError),
+        ([True], TypeError),
+        (np.array([True, False]), TypeError),
+        (np.array([1.0]), TypeError),
+        (np.array([-1], dtype=np.int64), ValueError),
+        ([-1], ValueError),
+        ([2**64], ValueError),
+        (np.uint64(5), ValueError),
+        (np.arange(4, dtype=np.uint64).reshape(2, 2), ValueError),
+    ],
+    ids=[
+        "float-list", "str-list", "bool-list", "bool-array", "float-array",
+        "negative-int64", "negative-int", "int-past-2^64", "0-d", "2-d",
+    ],
+)
+def test_counter_batches_must_be_1d_integers_in_range(values, error):
+    # a stash entry makes query_many look up single elements as well
+    filt = _stashed_filter()
+    for call in (filt.hash_many, filt.query_many):
+        with pytest.raises(error):
+            call(values)
+
+
+def test_counter_batches_take_integer_sequences():
+    filt = _stashed_filter()
+    values = [0, 7, 59, 2**63, 2**64 - 1]
+    expected = filt.query_many(np.array(values, dtype=np.uint64))
+    assert expected[:3].any()
+    assert np.array_equal(filt.query_many(values), expected)
+    assert np.array_equal(filt.query_many(np.array(values[:3], dtype=np.int64)), expected[:3])
+    assert np.array_equal(filt.query_many(np.array(values[:3], dtype=np.uint8)), expected[:3])
+    assert filt.query_many([]).shape == (0,)
+
+
 @pytest.mark.parametrize("element", ["alpha", [1, 2, 3], range(5), 7, None])
 def test_elements_must_be_bytes(element):
     filt = make_filter()
@@ -554,6 +602,61 @@ def test_insert_fills_the_lowest_hole_a_delete_left():
     assert filt.insert(encode_u64(values[6])) is InsertOutcome.STORED
     assert _block(filt, cell) == full
     assert filt.query(encode_u64(values[6]))
+
+
+def _blocks(filt: CuckooFilter) -> list[list[int]]:
+    """Slot values of every cell, decoded from the wire table of to_bytes()."""
+    b, f = filt.params.block_size, filt.params.fingerprint_bits
+    size = 8 * ((b * f + 63) // 64)
+    table = filt.to_bytes()[HEADER_SIZE : HEADER_SIZE + filt.params.num_cells * size]
+    words = (int.from_bytes(table[start : start + size], "little") for start in range(0, len(table), size))
+    return [[(word >> (slot * f)) & ((1 << f) - 1) for slot in range(b)] for word in words]
+
+
+def _occupied(blocks: list[list[int]]) -> int:
+    return sum(1 for block in blocks for value in block if value)
+
+
+# (variant, block size, fingerprint bits, max_evictions, inserts per slot):
+# the budget-edge fills of test_budget_edge_fill_matches_recorded_digest,
+# then b=4, f=8 tables near load 0.95
+EVICTION_FILLS = [
+    *((Variant.SIMPLIFIED, 2, 6, budget, 1.1) for budget in (2, 3, 17, 100)),
+    (Variant.ORIGINAL, 2, 6, 17, 1.1),
+    (Variant.SIMPLIFIED, 4, 8, 512, 0.95),
+    (Variant.ORIGINAL, 4, 8, 512, 0.95),
+]
+
+
+@pytest.mark.parametrize("variant,block_size,bits,budget,per_slot", EVICTION_FILLS)
+def test_eviction_never_leaves_a_hole(variant, block_size, bits, budget, per_slot):
+    # insert-only, so a hole could come only from an eviction path; the
+    # append-at-occupancy rule of insert_hashed relies on there being none
+    params = FilterParams(
+        capacity=block_size << bits, block_size=block_size, fingerprint_bits=bits,
+        variant=variant, max_evictions=budget, seed=7,
+    )
+    filt = CuckooFilter(params)
+    evicted = 0
+    blocks = _blocks(filt)
+    for element in counters(0, int(params.total_slots * per_slot)):
+        location, fp = hash_element(element, params)
+        alt = alt_location(location, fp, params)
+        both_full = all(blocks[location.local]) and all(blocks[alt.local])
+        outcome = filt.insert(element)
+        if both_full and outcome is InsertOutcome.STORED:
+            evicted += 1
+            after = _blocks(filt)
+            assert _occupied(after) == _occupied(blocks) + 1
+            for block in after:
+                occupancy = sum(1 for value in block if value)
+                assert all(block[:occupancy]), block
+            blocks = after
+        elif outcome is InsertOutcome.STORED:
+            blocks = _blocks(filt)
+    # a budget of two cells is spent on the roots, so no path is ever found
+    assert (evicted > 0) == (budget > 2)
+    assert _occupied(blocks) == filt.stored_count
 
 
 def _holed_filter() -> CuckooFilter:
