@@ -564,13 +564,17 @@ def test_original_variant_round_trip():
 HEADER_SIZE = 32
 
 
+def _blocks(filt: CuckooFilter) -> list[list[int]]:
+    """Slot values of every cell, decoded from the wire table of to_bytes()."""
+    b, f = filt.params.block_size, filt.params.fingerprint_bits
+    size = 8 * ((b * f + 63) // 64)
+    table = filt.to_bytes()[HEADER_SIZE : HEADER_SIZE + filt.params.num_cells * size]
+    words = (int.from_bytes(table[start : start + size], "little") for start in range(0, len(table), size))
+    return [[(word >> (slot * f)) & ((1 << f) - 1) for slot in range(b)] for word in words]
+
+
 def _block(filt: CuckooFilter, cell: int) -> list[int]:
-    """Slot values of one cell, read from its one-word wire block."""
-    f = filt.params.fingerprint_bits
-    assert filt.params.block_size * f <= 64
-    start = HEADER_SIZE + 8 * cell
-    word = int.from_bytes(filt.to_bytes()[start : start + 8], "little")
-    return [(word >> (slot * f)) & ((1 << f) - 1) for slot in range(filt.params.block_size)]
+    return _blocks(filt)[cell]
 
 
 def test_insert_fills_the_lowest_hole_a_delete_left():
@@ -604,15 +608,6 @@ def test_insert_fills_the_lowest_hole_a_delete_left():
     assert filt.query(encode_u64(values[6]))
 
 
-def _blocks(filt: CuckooFilter) -> list[list[int]]:
-    """Slot values of every cell, decoded from the wire table of to_bytes()."""
-    b, f = filt.params.block_size, filt.params.fingerprint_bits
-    size = 8 * ((b * f + 63) // 64)
-    table = filt.to_bytes()[HEADER_SIZE : HEADER_SIZE + filt.params.num_cells * size]
-    words = (int.from_bytes(table[start : start + size], "little") for start in range(0, len(table), size))
-    return [[(word >> (slot * f)) & ((1 << f) - 1) for slot in range(b)] for word in words]
-
-
 def _occupied(blocks: list[list[int]]) -> int:
     return sum(1 for block in blocks for value in block if value)
 
@@ -630,8 +625,8 @@ EVICTION_FILLS = [
 
 @pytest.mark.parametrize("variant,block_size,bits,budget,per_slot", EVICTION_FILLS)
 def test_eviction_never_leaves_a_hole(variant, block_size, bits, budget, per_slot):
-    # insert-only, so a hole could come only from an eviction path; the
-    # append-at-occupancy rule of insert_hashed relies on there being none
+    # insert-only, so a hole could come only from an eviction path; with
+    # none, every insert appends at slot occupancy without a lane search
     params = FilterParams(
         capacity=block_size << bits, block_size=block_size, fingerprint_bits=bits,
         variant=variant, max_evictions=budget, seed=7,
