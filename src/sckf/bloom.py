@@ -39,7 +39,7 @@ class BloomFilter:
         self._bits = np.zeros(num_bits, dtype=bool)
 
     def add_many(self, values: np.ndarray) -> None:
-        """Vectorized add of 64-bit counters (8-byte LE elements)."""
+        """Vectorized add of 64-bit counters, checked as hashing.counter_batch documents."""
         a, b = self._hash_many(values)
         for i in range(self.num_hashes):
             self._bits[(a + np.uint64(i) * b) % np.uint64(self.num_bits)] = True
@@ -52,7 +52,7 @@ class BloomFilter:
         return out
 
     def _hash_many(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.asarray(values, dtype=np.uint64)
+        values = hashing.counter_batch(values)
         a = hashing.hash_u64_many(values, self._seed_a)
         b = hashing.hash_u64_many(values, self._seed_b)
         step = b % np.uint64(self.num_bits)

@@ -6,10 +6,11 @@ so identical invocations produce identical files.
 """
 
 import argparse
+import functools
 import sys
 
 from . import bitmatch, harness, planner
-from .filter import MAX_BLOCK_SIZE, MAX_STASH_CAPACITY, Variant
+from .filter import MAX_BLOCK_SIZE, MAX_STASH_CAPACITY, MAX_SUBTABLES, Variant
 
 USAGE_EXIT = 1
 INFEASIBLE_EXIT = 2
@@ -40,6 +41,11 @@ def _count(text: str) -> int:
 def _block_size(text: str) -> int:
     """A block size: slots per cell, as many as the wire format holds."""
     return _bounded_int(text, 1, MAX_BLOCK_SIZE)
+
+
+def _subtables(text: str) -> int:
+    """A subtable count, as many as the wire format's u32 count holds."""
+    return _bounded_int(text, 1, MAX_SUBTABLES)
 
 
 def _stash(text: str) -> int:
@@ -89,12 +95,55 @@ def _list_of(convert):
     return parse
 
 
+def _bloom(base_seed, **kwargs):
+    return [harness.bloom_baseline_rate(seed=base_seed, **kwargs)]
+
+
+def _fprate(base_seed, seeds, **kwargs):
+    return harness.run_fp_experiment(seeds=range(base_seed, base_seed + seeds), **kwargs)
+
+
+# every experiment flag, once: the harness keyword it feeds and how it parses
+_FLAGS = {
+    "--n": ("n", dict(type=_count, required=True, help="member count")),
+    "--b": ("block_size", dict(type=_block_size, default=4, help="block size (slots per cell)")),
+    "--f": ("fingerprint_bits", dict(type=_width, required=True, help="fingerprint bits")),
+    "--subtables": ("num_subtables", dict(type=_subtables, default=1, help="subtable count")),
+    "--stash": ("stash_capacity", dict(type=_stash, default=0, help="stash capacity per subtable")),
+    "--variant": ("variant", dict(type=Variant, default="simplified",
+                                  metavar="{simplified,original}")),
+    "--trials": ("trials", dict(type=_count, default=100)),
+    "--seed": ("base_seed", dict(type=int, default=0)),
+    "--seeds": ("seeds", dict(type=_count, default=10, help="number of seeds, counted up from --seed")),
+    "--queries": ("queries", dict(type=_count, default=10**6)),
+    "--loads": ("loads", dict(type=_list_of(_load), default="0.5,0.6,0.7,0.8,0.9,0.95",
+                              help="comma-separated target loads")),
+    "--load": ("load", dict(type=_load, default=0.9)),
+    "--fgrid": ("fingerprint_grid", dict(type=_list_of(_width), default="2,3,4,5,6,7,8,9,10",
+                                         help="comma-separated fingerprint widths")),
+    "--bits": ("num_bits", dict(type=_count, required=True, help="Bloom filter bits")),
+}
+
+# subcommand: (harness function, help, the flags it takes)
+_EXPERIMENTS = {
+    "fprate": (_fprate, "measure false-positive rate vs bound",
+               "--n --b --f --subtables --stash --variant --queries --seeds --seed"),
+    "loadsweep": (harness.run_load_sweep, "construction success across target loads",
+                  "--n --b --f --variant --loads --trials --seed"),
+    "failsweep": (harness.run_failure_sweep, "construction failures across fingerprint widths",
+                  "--n --b --load --fgrid --trials --seed"),
+    "compare": (harness.run_variant_compare, "simplified vs original on identical streams",
+                "--n --b --f --subtables --trials --seed"),
+    "bloom": (_bloom, "Bloom-filter false-positive baseline", "--n --bits --queries --seed"),
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (planner.InfeasiblePlanError, ValueError) as exc:
+    except ValueError as exc:  # InfeasiblePlanError is one
         print(f"infeasible: {exc}", file=sys.stderr)
         return INFEASIBLE_EXIT
 
@@ -116,36 +165,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_plan)
 
-    p = sub.add_parser("fprate", help="measure false-positive rate vs bound")
-    _common_flags(p, trials=False)
-    p.add_argument("--queries", type=_count, default=10**6)
-    p.add_argument("--seeds", type=_count, default=10, help="number of seeds, counted up from --seed")
-    p.set_defaults(handler=_cmd_fprate)
-
-    p = sub.add_parser("loadsweep", help="construction success across target loads")
-    _common_flags(p, stash=False)
-    p.add_argument("--loads", type=_list_of(_load), default="0.5,0.6,0.7,0.8,0.9,0.95",
-                   help="comma-separated target loads")
-    p.set_defaults(handler=_cmd_loadsweep)
-
-    p = sub.add_parser("failsweep", help="construction failures across fingerprint widths")
-    _common_flags(p, variant=False, subtables=False, stash=False, fingerprint=False)
-    p.add_argument("--load", type=_load, default=0.9)
-    p.add_argument("--fgrid", type=_list_of(_width), default="2,3,4,5,6,7,8,9,10",
-                   help="comma-separated fingerprint widths")
-    p.set_defaults(handler=_cmd_failsweep)
-
-    p = sub.add_parser("compare", help="simplified vs original on identical streams")
-    _common_flags(p, variant=False, stash=False)
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("bloom", help="Bloom-filter false-positive baseline")
-    p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--bits", type=_count, required=True)
-    p.add_argument("--queries", type=_count, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
-    _output_flags(p)
-    p.set_defaults(handler=_cmd_bloom)
+    for name, (run, help_text, flags) in _EXPERIMENTS.items():
+        p = sub.add_parser(name, help=help_text)
+        keywords = []
+        for flag in flags.split():
+            keyword, options = _FLAGS[flag]
+            p.add_argument(flag, dest=keyword, **{"metavar": flag[2:].upper(), **options})
+            keywords.append(keyword)
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(handler=functools.partial(_run_experiment, run, keywords))
 
     p = sub.add_parser("selftest", help="exhaustive lane-match check against the loop oracle")
     p.set_defaults(handler=_cmd_selftest)
@@ -153,26 +182,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _common_flags(p, variant=True, subtables=True, stash=True, fingerprint=True, trials=True):
-    p.add_argument("--n", type=_count, required=True, help="member count")
-    p.add_argument("--b", type=_block_size, default=4, help="block size")
-    if fingerprint:
-        p.add_argument("--f", type=_width, required=True, help="fingerprint bits")
-    if subtables:
-        p.add_argument("--subtables", type=_count, default=1)
-    if stash:
-        p.add_argument("--stash", type=_stash, default=0, help="stash capacity per subtable")
-    if variant:
-        p.add_argument("--variant", choices=("simplified", "original"), default="simplified")
-    if trials:
-        p.add_argument("--trials", type=_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    _output_flags(p)
-
-
-def _output_flags(p):
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+def _run_experiment(run, keywords, args) -> int:
+    return _emit(run(**{keyword: getattr(args, keyword) for keyword in keywords}), args)
 
 
 def _emit(records, args) -> int:
@@ -220,62 +231,6 @@ def _cmd_plan(args) -> int:
     for warning in result.warnings:
         print(f"warning: {warning}")
     return 0
-
-
-def _cmd_fprate(args) -> int:
-    records = harness.run_fp_experiment(
-        n=args.n,
-        block_size=args.b,
-        fingerprint_bits=args.f,
-        num_subtables=args.subtables,
-        queries=args.queries,
-        seeds=range(args.seed, args.seed + args.seeds),
-        variant=Variant(args.variant),
-        stash_capacity=args.stash,
-    )
-    return _emit(records, args)
-
-
-def _cmd_loadsweep(args) -> int:
-    records = harness.run_load_sweep(
-        n=args.n,
-        block_size=args.b,
-        fingerprint_bits=args.f,
-        loads=args.loads,
-        trials=args.trials,
-        base_seed=args.seed,
-        variant=Variant(args.variant),
-    )
-    return _emit(records, args)
-
-
-def _cmd_failsweep(args) -> int:
-    records = harness.run_failure_sweep(
-        n=args.n,
-        block_size=args.b,
-        load=args.load,
-        fingerprint_grid=args.fgrid,
-        trials=args.trials,
-        base_seed=args.seed,
-    )
-    return _emit(records, args)
-
-
-def _cmd_compare(args) -> int:
-    records = harness.run_variant_compare(
-        n=args.n,
-        block_size=args.b,
-        fingerprint_bits=args.f,
-        num_subtables=args.subtables,
-        trials=args.trials,
-        base_seed=args.seed,
-    )
-    return _emit(records, args)
-
-
-def _cmd_bloom(args) -> int:
-    record = harness.bloom_baseline_rate(args.n, args.bits, args.queries, args.seed)
-    return _emit([record], args)
 
 
 def _cmd_selftest(args) -> int:

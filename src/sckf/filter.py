@@ -214,11 +214,10 @@ class _Addressing:
         """Global home cells and fingerprints of 64-bit counters.
 
         Element-wise equal to the hash of encode_u64(v), so insert_hashed
-        on a pair behaves exactly like insert(encode_u64(v)).  values must be
-        1-D integers in [0, 2^64), else ValueError; bools, floats and
-        strings raise TypeError.
+        on a pair behaves exactly like insert(encode_u64(v)).  values are
+        checked as hashing.counter_batch documents.
         """
-        values = _counters(values)
+        values = hashing.counter_batch(values)
         homes = hashing.hash_u64_many(values, self._seed_home) % np.uint64(self._n_cells)
         fps = hashing.hash_u64_many(values, self._seed_fp) % np.uint64(self._fp_mask)
         fps += np.uint64(1)
@@ -613,21 +612,6 @@ class CuckooFilter(_Addressing):
                 stash.append((local, fp))
                 self._stash_count += 1
         return offset
-
-
-def _counters(values) -> np.ndarray:
-    """values as a 1-D uint64 array, checked as hash_many documents."""
-    if not isinstance(values, np.ndarray):
-        # object dtype keeps Python ints exact; numpy would make [1, 2**63] floats
-        values = np.array(values, dtype=object)
-    if values.ndim != 1:
-        raise ValueError(f"counters must be a 1-D batch, got {values.ndim} dimensions")
-    kind = values.dtype.kind
-    if not (kind in "iu" or kind == "O" and all(type(v) is int or isinstance(v, np.integer) for v in values)):
-        raise TypeError(f"counters must be integers, not {values.dtype} elements")
-    if kind != "u" and values.size and not 0 <= values.min() <= values.max() <= hashing.MASK64:
-        raise ValueError("counters must lie in [0, 2^64)")
-    return values.astype(np.uint64, copy=False)
 
 
 def _dense_words_per_block(block_size: int, fingerprint_bits: int) -> int:

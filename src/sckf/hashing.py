@@ -67,3 +67,24 @@ def derive_seed(seed: int, index: int) -> int:
 def encode_u64(value: int) -> bytes:
     """Canonical 8-byte little-endian encoding of a 64-bit counter."""
     return value.to_bytes(8, "little")
+
+
+def counter_batch(values) -> np.ndarray:
+    """A batch of 64-bit counters, each standing for its encode_u64 bytes, as 1-D uint64.
+
+    A uint64 array is checked in O(1) and used as is; other integer arrays
+    and sequences of ints are range-checked and converted.  Another number
+    of dimensions or a value outside [0, 2^64) is a ValueError; bools,
+    floats and strings are a TypeError.
+    """
+    if not isinstance(values, np.ndarray):
+        # object dtype keeps Python ints exact; numpy would make [1, 2**63] floats
+        values = np.array(values, dtype=object)
+    if values.ndim != 1:
+        raise ValueError(f"counters must be a 1-D batch, got {values.ndim} dimensions")
+    kind = values.dtype.kind
+    if not (kind in "iu" or kind == "O" and all(type(v) is int or isinstance(v, np.integer) for v in values)):
+        raise TypeError(f"counters must be integers, not {values.dtype} elements")
+    if kind != "u" and values.size and not 0 <= values.min() <= values.max() <= MASK64:
+        raise ValueError("counters must lie in [0, 2^64)")
+    return values.astype(np.uint64, copy=False)

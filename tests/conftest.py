@@ -114,3 +114,15 @@ class BlockedCuckooTable:
 
 def counters(start: int, count: int) -> list[bytes]:
     return [encode_u64(value) for value in range(start, start + count)]
+
+
+HEADER_SIZE = 32
+
+
+def wire_blocks(filt) -> list[list[int]]:
+    """Slot values of every cell, decoded from the wire table of to_bytes()."""
+    b, f = filt.params.block_size, filt.params.fingerprint_bits
+    size = 8 * ((b * f + 63) // 64)
+    table = filt.to_bytes()[HEADER_SIZE : HEADER_SIZE + filt.params.num_cells * size]
+    words = (int.from_bytes(table[start : start + size], "little") for start in range(0, len(table), size))
+    return [[(word >> (slot * f)) & ((1 << f) - 1) for slot in range(b)] for word in words]

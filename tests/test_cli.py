@@ -111,6 +111,13 @@ def test_usage_error_exits_one(capsys):
         ["fprate", "--n", "100", "--f", "1"],
         ["fprate", "--n", "100", "--f", "33"],
         ["compare", "--n", "100", "--f", "8", "--subtables", "0"],
+        # more subtables than the wire format's u32 count
+        ["compare", "--n", "100", "--f", "8", "--subtables", str(2**32)],
+        ["fprate", "--n", "100", "--f", "8", "--subtables", str(2**32)],
+        # loadsweep sizes the table per target load, so it takes no --subtables
+        ["loadsweep", "--n", "500", "--f", "8", "--loads", "0.5,0.9", "--trials", "3",
+         "--subtables", "7"],
+        ["fprate", "--n", "100", "--f", "8", "--variant", "bogus"],
         ["failsweep", "--n", "100", "--fgrid", "1"],
         ["failsweep", "--n", "100", "--fgrid", "2,33"],
         ["fprate", "--n", "100", "--f", "8", "--queries", "10", "--seeds", "1", "--trials", "7"],

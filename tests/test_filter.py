@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BlockedCuckooTable, counters
+from conftest import HEADER_SIZE, BlockedCuckooTable, counters, wire_blocks
 from sckf import planner
+from sckf.bloom import BloomFilter
 from sckf.filter import (
     CellIndex,
     CuckooFilter,
@@ -399,7 +400,10 @@ def _stashed_filter() -> CuckooFilter:
 def test_counter_batches_must_be_1d_integers_in_range(values, error):
     # a stash entry makes query_many look up single elements as well
     filt = _stashed_filter()
-    for call in (filt.hash_many, filt.query_many):
+    baseline = BloomFilter(num_bits=64, num_hashes=2)
+    # -1 must not wrap to the member 2^64 - 1
+    baseline.add_many(np.array([2**64 - 1], dtype=np.uint64))
+    for call in (filt.hash_many, filt.query_many, baseline.add_many, baseline.contains_many):
         with pytest.raises(error):
             call(values)
 
@@ -561,20 +565,8 @@ def test_original_variant_round_trip():
 # -- placement after deletes ------------------------------------------------
 
 
-HEADER_SIZE = 32
-
-
-def _blocks(filt: CuckooFilter) -> list[list[int]]:
-    """Slot values of every cell, decoded from the wire table of to_bytes()."""
-    b, f = filt.params.block_size, filt.params.fingerprint_bits
-    size = 8 * ((b * f + 63) // 64)
-    table = filt.to_bytes()[HEADER_SIZE : HEADER_SIZE + filt.params.num_cells * size]
-    words = (int.from_bytes(table[start : start + size], "little") for start in range(0, len(table), size))
-    return [[(word >> (slot * f)) & ((1 << f) - 1) for slot in range(b)] for word in words]
-
-
 def _block(filt: CuckooFilter, cell: int) -> list[int]:
-    return _blocks(filt)[cell]
+    return wire_blocks(filt)[cell]
 
 
 def test_insert_fills_the_lowest_hole_a_delete_left():
@@ -633,7 +625,7 @@ def test_eviction_never_leaves_a_hole(variant, block_size, bits, budget, per_slo
     )
     filt = CuckooFilter(params)
     evicted = 0
-    blocks = _blocks(filt)
+    blocks = wire_blocks(filt)
     for element in counters(0, int(params.total_slots * per_slot)):
         location, fp = hash_element(element, params)
         alt = alt_location(location, fp, params)
@@ -641,14 +633,14 @@ def test_eviction_never_leaves_a_hole(variant, block_size, bits, budget, per_slo
         outcome = filt.insert(element)
         if both_full and outcome is InsertOutcome.STORED:
             evicted += 1
-            after = _blocks(filt)
+            after = wire_blocks(filt)
             assert _occupied(after) == _occupied(blocks) + 1
             for block in after:
                 occupancy = sum(1 for value in block if value)
                 assert all(block[:occupancy]), block
             blocks = after
         elif outcome is InsertOutcome.STORED:
-            blocks = _blocks(filt)
+            blocks = wire_blocks(filt)
     # a budget of two cells is spent on the roots, so no path is ever found
     assert (evicted > 0) == (budget > 2)
     assert _occupied(blocks) == filt.stored_count

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import counters
+from conftest import HEADER_SIZE, counters, wire_blocks
 from sckf.filter import (
     BadMagicError,
     CuckooFilter,
@@ -12,10 +12,9 @@ from sckf.filter import (
     TruncatedError,
     UnsupportedVersionError,
     Variant,
+    alt_location,
+    hash_element,
 )
-
-HEADER_SIZE = 32
-
 
 def small_filter(**overrides) -> CuckooFilter:
     defaults = dict(capacity=64, block_size=3, fingerprint_bits=4, num_subtables=2)
@@ -225,3 +224,85 @@ def test_stash_entry_off_its_canonical_local_rejected():
     payload[entry_at : entry_at + 4] = (7).to_bytes(4, "little")
     with pytest.raises(SerializationError, match="canonical"):
         CuckooFilter.from_bytes(bytes(payload))
+
+
+# -- mutation fuzz --------------------------------------------------------------
+
+
+# name: (filter params, members inserted, how many of them are then deleted)
+MUTATED_PAYLOADS = {
+    "simplified-stash": (
+        dict(capacity=32, block_size=2, fingerprint_bits=4, num_subtables=1,
+             stash_capacity=2, seed=1),
+        36, 6,
+    ),
+    "original": (
+        dict(capacity=96, block_size=3, fingerprint_bits=4, num_subtables=2,
+             variant=Variant.ORIGINAL, seed=2),
+        90, 10,
+    ),
+    # 68 slot bits, so each block spans two words
+    "multi-word-block": (
+        dict(capacity=16 * 17, block_size=17, fingerprint_bits=4, num_subtables=1, seed=3),
+        200, 20,
+    ),
+}
+
+
+def _mutated_payload(name: str) -> tuple[CuckooFilter, list[bytes]]:
+    """A filled filter with deletes behind it, and the members it still holds."""
+    overrides, inserts, deletes = MUTATED_PAYLOADS[name]
+    filt = small_filter(**overrides)
+    kept = [e for e in counters(0, inserts) if filt.insert(e) is not InsertOutcome.FAILED]
+    for element in kept[:deletes]:
+        assert filt.delete(element)
+    return filt, kept[deletes:]
+
+
+def _load_or_reject(payload: bytes):
+    """The filter a payload loads as, or None when it raises SerializationError.
+
+    A payload that loads must serialize back to exactly the same bytes.
+    """
+    try:
+        restored = CuckooFilter.from_bytes(payload)
+    except SerializationError:
+        return None
+    assert restored.to_bytes() == payload
+    return restored
+
+
+@pytest.mark.parametrize("name", list(MUTATED_PAYLOADS))
+def test_mutated_payloads_are_rejected_or_round_trip(name):
+    # every byte takes each one-bit flip, 0x00 and 0xFF; every prefix is tried
+    filt, members = _mutated_payload(name)
+    params = filt.params
+    # a delete left an empty slot below an occupied one
+    assert any(not low and high for block in wire_blocks(filt) for low, high in zip(block, block[1:]))
+    assert (filt.stash_count > 0) == (params.stash_capacity > 0)
+    payload = filt.to_bytes()
+    block_bytes = table_bytes(filt) // params.num_cells
+    table_end = HEADER_SIZE + table_bytes(filt)
+    cells = []
+    for element in members:
+        home, fp = hash_element(element, params)
+        alt = alt_location(home, fp, params)
+        cells.append({c.subtable << params.fingerprint_bits | c.local for c in (home, alt)})
+
+    for cut in range(len(payload)):
+        assert _load_or_reject(payload[:cut]) is None
+    loaded = 0
+    for pos, original in enumerate(payload):
+        for value in ({original ^ (1 << bit) for bit in range(8)} | {0x00, 0xFF}) - {original}:
+            mutated = bytearray(payload)
+            mutated[pos] = value
+            restored = _load_or_reject(bytes(mutated))
+            if restored is None:
+                continue
+            loaded += 1
+            if HEADER_SIZE <= pos < table_end:
+                # one block changed: members with neither cell there are still found
+                block = (pos - HEADER_SIZE) // block_bytes
+                for element, candidates in zip(members, cells):
+                    assert block in candidates or restored.query(element), (pos, value)
+    assert loaded > 0
