@@ -143,8 +143,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:  # InfeasiblePlanError is one
-        print(f"infeasible: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # InfeasiblePlanError is a ValueError
+        reason = "the experiment does not fit in memory" if isinstance(exc, MemoryError) else exc
+        print(f"infeasible: {reason}", file=sys.stderr)
         return INFEASIBLE_EXIT
 
 

@@ -333,11 +333,14 @@ class CuckooFilter(_Addressing):
         numpy over the whole array at once.
         """
         homes, fps = self.hash_many(values)
-        alts = self._alt_many(homes, fps)
-        if self._block_words == 1:
-            table = [np.fromiter(self._cells, dtype=np.uint64, count=self._n_cells)]
-        else:
-            table = self._wire_columns(self._table_bytes())
+        alts = self._alt_many(homes, fps).view(np.int64)  # cells < 2^63: numpy indexes int64 uncast
+        homes = homes.view(np.int64)
+        # encode each probed cell once, into a table that is zero elsewhere
+        mask = np.zeros(self._n_cells, dtype=bool)
+        mask[homes] = mask[alts] = True
+        probed = np.flatnonzero(mask)
+        table = np.zeros((self._block_words, self._n_cells), dtype=np.uint64)
+        table[:, probed] = self._wire_columns(self._table_bytes(probed.tolist()))
         hits = np.zeros(homes.shape, dtype=bool)
         # one side at a time keeps a single gathered copy of the blocks alive
         for cells in (homes, alts):
@@ -493,7 +496,7 @@ class CuckooFilter(_Addressing):
                 self.stored_count,
             )
         )
-        out += self._table_bytes()
+        out += self._table_bytes(range(self._n_cells))
         for stash in self._stashes:
             out += _STASH_COUNT.pack(len(stash))
             for local, fp in stash:
@@ -556,13 +559,14 @@ class CuckooFilter(_Addressing):
             )
         return filt
 
-    def _table_bytes(self) -> bytes:
+    def _table_bytes(self, cells) -> bytes:
+        """The wire blocks of the given cell indexes, in their order."""
         size = 8 * self._block_words
-        return b"".join([cell.to_bytes(size, "little") for cell in self._cells])
+        return b"".join([self._cells[cell].to_bytes(size, "little") for cell in cells])
 
     def _wire_columns(self, table: bytes) -> list[np.ndarray]:
-        """Views of wire-format table bytes: word k of every block per array."""
-        rows = np.frombuffer(table, dtype="<u8").reshape(self._n_cells, self._block_words)
+        """Views of wire-format blocks: word k of every block per array."""
+        rows = np.frombuffer(table, dtype="<u8").reshape(-1, self._block_words)
         return [rows[:, word] for word in range(self._block_words)]
 
     def _load_table(self, table: bytes) -> None:

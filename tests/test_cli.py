@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sckf import cli
+from sckf.filter import CuckooFilter
 
 
 def run(argv, capsys):
@@ -64,6 +65,27 @@ def test_extreme_plan_exits_two(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("infeasible:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["failsweep", "--n", "5", "--fgrid", "32", "--trials", "1"],
+        ["compare", "--n", "10", "--f", "32", "--subtables", "1", "--trials", "1"],
+        ["loadsweep", "--n", "5", "--f", "32", "--loads", "1", "--trials", "1"],
+    ],
+    ids=["failsweep", "compare", "loadsweep"],
+)
+def test_table_too_large_for_memory_exits_two(argv, capsys, monkeypatch):
+    # f=32 asks for 2^32 cells; the constructor raises as the allocation would
+    def refuse(self, params):
+        raise MemoryError
+
+    monkeypatch.setattr(CuckooFilter, "__init__", refuse)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "infeasible: the experiment does not fit in memory\n"
 
 
 def _flag(values):

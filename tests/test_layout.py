@@ -72,11 +72,28 @@ WIDE_GEOMETRIES = [(7, 10, 5000), (8, 16, 20000), (4, 16, 20000)]
 @pytest.mark.parametrize("block_size,fingerprint_bits,count", WIDE_GEOMETRIES)
 def test_query_many_matches_scalar_on_wide_blocks(block_size, fingerprint_bits, count):
     filt, members = stashed_filter(block_size, fingerprint_bits, count)
-    probes = np.array(members + list(range(1, 20000)), dtype=np.uint64)
-    batch = filt.query_many(probes)
-    scalar = [filt.query(encode_u64(value)) for value in probes.tolist()]
-    assert batch.tolist() == scalar
-    assert batch[: len(members)].all()
+    pool = np.arange(24 * filt.params.num_cells, dtype=np.uint64)
+    homes, _ = filt.hash_many(pool)
+    cells, first = np.unique(homes, return_index=True)
+    assert cells.size == filt.params.num_cells
+    first_with_home = dict(zip(cells.tolist(), first.tolist()))
+    # a pool value homed in the alternate cell of a member: both probe that cell
+    member = members[1]
+    member_home, member_fp = filt.hash_many(np.array([member], dtype=np.uint64))
+    sharer = first_with_home[int(member_home[0] ^ member_fp[0])]
+    batches = {
+        "members and others": members + list(range(1, 20000)),
+        "empty": [],
+        "one probe": [0],  # the stashed value
+        "repeats": [member] * 3 + [0] * 3 + [7] * 2,
+        "shared cells": [member, sharer, 0],
+        "every cell": pool[first].tolist() + [0],
+    }
+    for name, values in batches.items():
+        batch = filt.query_many(np.array(values, dtype=np.uint64))
+        scalar = [filt.query(encode_u64(value)) for value in values]
+        assert batch.tolist() == scalar, name
+    assert filt.query_many(np.array(members, dtype=np.uint64)).all()
 
 
 @pytest.mark.parametrize("block_size,fingerprint_bits,count", WIDE_GEOMETRIES)

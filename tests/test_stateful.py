@@ -3,7 +3,10 @@
 Small geometries (b=1-2, f=4-6, 1-2 subtables, stash 0-2, both variants)
 fill up within a few steps, so deletes leave holes in cells, inserts run
 the eviction search and overflow into the stash, and the snapshot round
-trip carries all of that state.
+trip carries all of that state.  The geometry b=13, f=5 has 65-bit blocks,
+two wire words with slot 12 across the boundary; its 416-slot subtables
+fill through the ``fill`` rule's runs of consecutive values, so batch
+queries and round trips also meet holes and evictions in multi-word blocks.
 """
 
 from collections import Counter
@@ -21,14 +24,14 @@ VALUES = st.integers(min_value=0, max_value=2**16)
 
 class FilterMachine(RuleBasedStateMachine):
     @initialize(
-        block_size=st.integers(1, 2),
-        fingerprint_bits=st.integers(4, 6),
+        geometry=st.one_of(st.tuples(st.integers(1, 2), st.integers(4, 6)), st.just((13, 5))),
         num_subtables=st.integers(1, 2),
         stash_capacity=st.integers(0, 2),
         variant=st.sampled_from(Variant),
         seed=st.integers(0, 2**64 - 1),
     )
-    def build(self, block_size, fingerprint_bits, num_subtables, stash_capacity, variant, seed):
+    def build(self, geometry, num_subtables, stash_capacity, variant, seed):
+        block_size, fingerprint_bits = geometry
         if variant is Variant.ORIGINAL:
             stash_capacity = 0
         self.filt = CuckooFilter(
@@ -45,6 +48,10 @@ class FilterMachine(RuleBasedStateMachine):
         for value in values:
             if self.filt.insert(encode_u64(value)) is not InsertOutcome.FAILED:
                 self.live[value] += 1
+
+    @rule(start=VALUES, count=st.integers(1, 128))
+    def fill(self, start, count):
+        self.insert(range(start, start + count))
 
     @precondition(lambda self: self.live)
     @rule(data=st.data(), count=st.integers(1, 8))
