@@ -25,13 +25,15 @@ any number of lanes is matched in one call: the top lane's carry bit
 simply lands above it.
 """
 
+import operator
+
 MIN_WIDTH = 2
 MAX_WIDTH = 32
 
 
 def make_lane_constant(width: int, lanes: int) -> int:
     """Constant with a single 1 bit at the bottom of each of ``lanes`` lanes."""
-    _check_width(width)
+    check_width(width)
     if lanes < 1:
         raise ValueError(f"need at least one lane, got {lanes}")
     return sum(1 << (i * width) for i in range(lanes))
@@ -73,6 +75,15 @@ def write_lane(word: int, lane: int, width: int, value: int) -> int:
     return (word & ~(((1 << width) - 1) << shift)) | (value << shift)
 
 
-def _check_width(width: int) -> None:
-    if not MIN_WIDTH <= width <= MAX_WIDTH:
-        raise ValueError(f"lane width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {width}")
+def check_width(width: int) -> None:
+    """Refuse a fingerprint (lane) width outside [MIN_WIDTH, MAX_WIDTH]."""
+    if not MIN_WIDTH <= as_integer(width, "fingerprint width") <= MAX_WIDTH:
+        raise ValueError(f"fingerprint width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {width}")
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` through ``operator.index`` (numpy integers pass), else a TypeError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from . import hashing
+from .filter import check_count
 
 _STREAM_A = 0
 _STREAM_B = 1
@@ -18,8 +19,8 @@ _STREAM_B = 1
 
 def hash_count_for(num_bits: int, n: int) -> int:
     """Probe count minimizing the false-positive rate for n elements."""
-    if num_bits < 1 or n < 1:
-        raise ValueError("num_bits and n must be positive")
+    check_count(num_bits, "num_bits")
+    check_count(n, "n")
     return max(1, round(num_bits * math.log(2.0) / n))
 
 
@@ -27,10 +28,8 @@ class BloomFilter:
     """Fixed-size bit array with k double-hashed probes per element."""
 
     def __init__(self, num_bits: int, num_hashes: int, seed: int = 0):
-        if num_bits < 1:
-            raise ValueError(f"num_bits must be positive, got {num_bits}")
-        if num_hashes < 1:
-            raise ValueError(f"num_hashes must be positive, got {num_hashes}")
+        check_count(num_bits, "num_bits")
+        check_count(num_hashes, "num_hashes")
         self.num_bits = num_bits
         self.num_hashes = num_hashes
         self.seed = seed & hashing.MASK64

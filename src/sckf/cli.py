@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 1 on usage errors, 2 when the requested
 experiment or plan is infeasible.  Output is a pure function of the flags,
 so identical invocations produce identical files.
+
+Each ranged flag is parsed through the library's own check for its
+parameter (``--n`` through ``planner.check_n``: at least 2), so the CLI
+refuses a value, exit 1, exactly when the library would.
 """
 
 import argparse
@@ -10,7 +14,7 @@ import functools
 import sys
 
 from . import bitmatch, harness, planner
-from .filter import MAX_BLOCK_SIZE, MAX_STASH_CAPACITY, MAX_SUBTABLES, Variant
+from .filter import Variant, check_block_size, check_count, check_stash_capacity, check_subtables
 
 USAGE_EXIT = 1
 INFEASIBLE_EXIT = 2
@@ -22,60 +26,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _bounded_int(text: str, low: int, high: int | None = None) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < low or (high is not None and value > high):
-        bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
-        raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
-    return value
-
-
-def _count(text: str) -> int:
-    """A count flag: an integer of at least 1."""
-    return _bounded_int(text, 1)
-
-
-def _block_size(text: str) -> int:
-    """A block size: slots per cell, as many as the wire format holds."""
-    return _bounded_int(text, 1, MAX_BLOCK_SIZE)
-
-
-def _subtables(text: str) -> int:
-    """A subtable count, as many as the wire format's u32 count holds."""
-    return _bounded_int(text, 1, MAX_SUBTABLES)
-
-
-def _stash(text: str) -> int:
-    """A stash capacity per subtable, as many entries as the wire format holds."""
-    return _bounded_int(text, 0, MAX_STASH_CAPACITY)
-
-
-def _width(text: str) -> int:
-    """A fingerprint width: an integer the lane match supports."""
-    return _bounded_int(text, bitmatch.MIN_WIDTH, bitmatch.MAX_WIDTH)
-
-
-def _load(text: str) -> float:
-    """A target load: a number in (0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value <= 1.0:  # NaN fails this too
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
-    return value
-
-
-def _checked(convert, check):
-    """A flag parsed by ``convert`` and refused when ``check`` raises ValueError."""
+def _checked(convert, check, *args):
+    """A flag parsed by ``convert`` and refused when ``check(value, *args)`` raises ValueError."""
 
     def parse(text: str):
         try:
             value = convert(text)
-            check(value)
+            check(value, *args)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
@@ -105,23 +62,30 @@ def _fprate(base_seed, seeds, **kwargs):
 
 # every experiment flag, once: the harness keyword it feeds and how it parses
 _FLAGS = {
-    "--n": ("n", dict(type=_count, required=True, help="member count")),
-    "--b": ("block_size", dict(type=_block_size, default=4, help="block size (slots per cell)")),
-    "--f": ("fingerprint_bits", dict(type=_width, required=True, help="fingerprint bits")),
-    "--subtables": ("num_subtables", dict(type=_subtables, default=1, help="subtable count")),
-    "--stash": ("stash_capacity", dict(type=_stash, default=0, help="stash capacity per subtable")),
+    "--n": ("n", dict(type=_checked(int, planner.check_n), required=True, help="member count")),
+    "--b": ("block_size", dict(type=_checked(int, check_block_size), default=4,
+                               help="block size (slots per cell)")),
+    "--f": ("fingerprint_bits", dict(type=_checked(int, bitmatch.check_width), required=True,
+                                     help="fingerprint bits")),
+    "--subtables": ("num_subtables", dict(type=_checked(int, check_subtables), default=1,
+                                          help="subtable count")),
+    "--stash": ("stash_capacity", dict(type=_checked(int, check_stash_capacity), default=0,
+                                       help="stash capacity per subtable")),
     "--variant": ("variant", dict(type=Variant, default="simplified",
                                   metavar="{simplified,original}")),
-    "--trials": ("trials", dict(type=_count, default=100)),
+    "--trials": ("trials", dict(type=_checked(int, check_count, "trials"), default=100)),
     "--seed": ("base_seed", dict(type=int, default=0)),
-    "--seeds": ("seeds", dict(type=_count, default=10, help="number of seeds, counted up from --seed")),
-    "--queries": ("queries", dict(type=_count, default=10**6)),
-    "--loads": ("loads", dict(type=_list_of(_load), default="0.5,0.6,0.7,0.8,0.9,0.95",
-                              help="comma-separated target loads")),
-    "--load": ("load", dict(type=_load, default=0.9)),
-    "--fgrid": ("fingerprint_grid", dict(type=_list_of(_width), default="2,3,4,5,6,7,8,9,10",
+    "--seeds": ("seeds", dict(type=_checked(int, check_count, "seeds"), default=10,
+                              help="number of seeds, counted up from --seed")),
+    "--queries": ("queries", dict(type=_checked(int, check_count, "queries"), default=10**6)),
+    "--loads": ("loads", dict(type=_list_of(_checked(float, harness.check_load)),
+                              default="0.5,0.6,0.7,0.8,0.9,0.95", help="comma-separated target loads")),
+    "--load": ("load", dict(type=_checked(float, harness.check_load), default=0.9)),
+    "--fgrid": ("fingerprint_grid", dict(type=_list_of(_checked(int, bitmatch.check_width)),
+                                         default="2,3,4,5,6,7,8,9,10",
                                          help="comma-separated fingerprint widths")),
-    "--bits": ("num_bits", dict(type=_count, required=True, help="Bloom filter bits")),
+    "--bits": ("num_bits", dict(type=_checked(int, check_count, "num_bits"), required=True,
+                                help="Bloom filter bits")),
 }
 
 # subcommand: (harness function, help, the flags it takes)
@@ -156,7 +120,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("plan", help="derive geometry from a capacity target")
     p.add_argument("--n", type=_checked(int, planner.check_n), required=True,
                    help="elements to plan for (at least 2)")
-    p.add_argument("--b", type=_block_size, help="block size (slots per cell)")
+    p.add_argument("--b", type=_checked(int, check_block_size), help="block size (slots per cell)")
     p.add_argument("--delta", type=_checked(float, planner.check_load_slack),
                    help="load slack in (0, 0.5)")
     p.add_argument("--s", type=_checked(float, planner.check_failure_exponent), default=1.0,

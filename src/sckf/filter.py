@@ -107,6 +107,31 @@ class TruncatedError(SerializationError):
     pass
 
 
+# range checks shared by FilterParams, the planner, the harness and the CLI:
+# out of range is a ValueError, a non-integer a TypeError naming the parameter
+
+
+def check_block_size(block_size: int) -> None:
+    if not 1 <= bitmatch.as_integer(block_size, "block_size") <= MAX_BLOCK_SIZE:
+        raise ValueError(f"block_size must be in [1, {MAX_BLOCK_SIZE}], got {block_size}")
+
+
+def check_subtables(num_subtables: int) -> None:
+    if not 1 <= bitmatch.as_integer(num_subtables, "num_subtables") <= MAX_SUBTABLES:
+        raise ValueError(f"num_subtables must be in [1, 2^32), got {num_subtables}")
+
+
+def check_stash_capacity(stash_capacity: int) -> None:
+    if not 0 <= bitmatch.as_integer(stash_capacity, "stash_capacity") <= MAX_STASH_CAPACITY:
+        raise ValueError(f"stash_capacity must be in [0, {MAX_STASH_CAPACITY}], got {stash_capacity}")
+
+
+def check_count(value: int, name: str) -> None:
+    """A count such as capacity, max_evictions or a number of trials: at least 1."""
+    if bitmatch.as_integer(value, name) < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass(frozen=True)
 class FilterParams:
     """Geometry and seeding of a filter.
@@ -125,19 +150,12 @@ class FilterParams:
     max_evictions: int = 512
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if not 1 <= self.block_size <= MAX_BLOCK_SIZE:
-            raise ValueError(f"block_size must be in [1, {MAX_BLOCK_SIZE}], got {self.block_size}")
-        if not bitmatch.MIN_WIDTH <= self.fingerprint_bits <= bitmatch.MAX_WIDTH:
-            raise ValueError(
-                f"fingerprint_bits must be in [{bitmatch.MIN_WIDTH}, "
-                f"{bitmatch.MAX_WIDTH}], got {self.fingerprint_bits}"
-            )
-        if not 1 <= self.num_subtables <= MAX_SUBTABLES:
-            raise ValueError(f"num_subtables must be in [1, 2^32), got {self.num_subtables}")
-        if not 0 <= self.stash_capacity <= MAX_STASH_CAPACITY:
-            raise ValueError(f"stash_capacity must be in [0, {MAX_STASH_CAPACITY}], got {self.stash_capacity}")
+        check_count(self.capacity, "capacity")
+        check_block_size(self.block_size)
+        bitmatch.check_width(self.fingerprint_bits)
+        check_subtables(self.num_subtables)
+        check_stash_capacity(self.stash_capacity)
+        check_count(self.max_evictions, "max_evictions")
         if self.stash_capacity > 0 and self.variant is not Variant.SIMPLIFIED:
             raise ValueError("the stash extension applies to the simplified variant only")
         if self.variant is Variant.ORIGINAL and self.num_subtables & (self.num_subtables - 1):
@@ -145,8 +163,6 @@ class FilterParams:
                 "the original variant needs a power-of-two cell count; "
                 f"num_subtables={self.num_subtables} breaks that"
             )
-        if self.max_evictions < 1:
-            raise ValueError(f"max_evictions must be positive, got {self.max_evictions}")
         object.__setattr__(self, "seed", self.seed & hashing.MASK64)
 
     @property

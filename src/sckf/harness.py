@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bloom, hashing, planner
-from .filter import CuckooFilter, FilterParams, InsertOutcome, Variant
+from .filter import CuckooFilter, FilterParams, InsertOutcome, Variant, check_count
 
 
 @dataclass
@@ -48,7 +48,7 @@ class TrialRecord:
     wall_time_s: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.successes <= max(self.trials, 0):
+        if not 0 <= self.successes <= self.trials:
             raise ValueError(f"successes {self.successes} outside [0, {self.trials}]")
 
     def sort_key(self):
@@ -142,10 +142,15 @@ def insert_members(filt: CuckooFilter, n: int) -> int:
     return done
 
 
-def subtables_for_load(n: int, block_size: int, fingerprint_bits: int, load: float) -> int:
-    """Fewest subtables so that n elements sit at or below the target load."""
+def check_load(load: float) -> None:
+    """A target load lies in (0, 1]; NaN fails too."""
     if not 0.0 < load <= 1.0:
         raise ValueError(f"load must be in (0, 1], got {load}")
+
+
+def subtables_for_load(n: int, block_size: int, fingerprint_bits: int, load: float) -> int:
+    """Fewest subtables so that n elements sit at or below the target load."""
+    check_load(load)
     per_subtable = (1 << fingerprint_bits) * block_size * load
     return max(1, math.ceil(n / per_subtable))
 
@@ -171,6 +176,7 @@ def run_fp_experiment(
     A construction failure at the requested load is recorded as a
     zero-trial record and the measurement is skipped.
     """
+    check_count(queries, "queries")
     records = []
     for seed in seeds:
         start = time.perf_counter()
@@ -226,6 +232,7 @@ def _construction_record(
     successes counts the trials in which all n members landed; measured
     is their fraction.
     """
+    check_count(trials, "trials")
     start = time.perf_counter()
     successes = 0
     for trial in range(trials):
@@ -341,6 +348,7 @@ def run_variant_compare(
 
 def bloom_baseline_rate(n: int, num_bits: int, queries: int, seed: int) -> TrialRecord:
     """False-positive rate of a size-matched Bloom filter, bound 2**-k."""
+    check_count(queries, "queries")
     if num_bits <= n:
         raise ValueError(f"num_bits={num_bits} must exceed n={n} for a useful baseline")
     start = time.perf_counter()

@@ -25,8 +25,8 @@ result before returning it.
 import math
 from dataclasses import dataclass, field
 
-from .bitmatch import MAX_WIDTH
-from .filter import MAX_BLOCK_SIZE, MAX_SUBTABLES
+from .bitmatch import MAX_WIDTH, as_integer
+from .filter import MAX_BLOCK_SIZE, MAX_SUBTABLES, check_block_size, check_count
 
 _SLACK_COEFF = 1.0 - math.log(2.0)
 
@@ -51,8 +51,7 @@ def min_block_size(load_slack: float) -> int:
 
 def max_load_slack(block_size: int) -> float:
     """Largest load slack a block size supports; inverse of min_block_size."""
-    if block_size < 1:
-        raise ValueError(f"block_size must be positive, got {block_size}")
+    check_block_size(block_size)
     return math.exp(-(block_size - 1) * _SLACK_COEFF)
 
 
@@ -61,8 +60,7 @@ def balance_fingerprint_bound(n: int, failure_exponent: float, load_slack: float
     check_n(n)
     check_failure_exponent(failure_exponent)
     check_load_slack(load_slack, upper=1.0)
-    if block_size < 1:
-        raise ValueError(f"block_size must be positive, got {block_size}")
+    check_block_size(block_size)
     return math.log2(
         3.0 * (failure_exponent + 1.0) * math.log(n) / (load_slack**4 * block_size)
     )
@@ -81,8 +79,7 @@ def subtable_fingerprint_bound(n: int, failure_exponent: float, block_size: int)
     """
     check_n(n)
     check_failure_exponent(failure_exponent)
-    if block_size < 1:
-        raise ValueError(f"block_size must be positive, got {block_size}")
+    check_block_size(block_size)
     return (failure_exponent + 1.0) * math.log2(n) / block_size
 
 
@@ -100,8 +97,8 @@ def false_positive_bound(n: int, num_cells: int, block_size: int, fingerprint_bi
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if num_cells < 1 or block_size < 1:
-        raise ValueError("num_cells and block_size must be positive")
+    check_count(num_cells, "num_cells")
+    check_block_size(block_size)
     if n > num_cells * block_size:
         raise ValueError(f"n={n} exceeds the {num_cells * block_size} table slots")
     return 2.0 * n / (num_cells * ((1 << fingerprint_bits) - 1))
@@ -143,8 +140,8 @@ class PlanRequest:
             raise ValueError("give load_slack or block_size (or both)")
         if self.load_slack is not None:
             check_load_slack(self.load_slack)
-        if self.block_size is not None and not 1 <= self.block_size <= MAX_BLOCK_SIZE:
-            raise ValueError(f"block_size must be in [1, {MAX_BLOCK_SIZE}], got {self.block_size}")
+        if self.block_size is not None:
+            check_block_size(self.block_size)
         if self.target_fp_rate is not None:
             check_fp_rate(self.target_fp_rate)
 
@@ -290,10 +287,11 @@ def _verify(result: PlanResult, request: PlanRequest) -> None:
 
 
 # input checks shared by the bounds, PlanRequest and the CLI; each raises
-# ValueError, and NaN fails every one of them
+# ValueError out of range, NaN fails every one of them, and a non-integer n
+# is a TypeError
 
 def check_n(n: int) -> None:
-    if n < 2:
+    if as_integer(n, "n") < 2:
         raise ValueError(f"n must be at least 2, got {n}")
 
 

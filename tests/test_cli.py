@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sckf import cli
-from sckf.filter import CuckooFilter
+from sckf import bitmatch, cli, harness, planner
+from sckf.filter import (
+    CuckooFilter,
+    check_block_size,
+    check_count,
+    check_stash_capacity,
+    check_subtables,
+)
 
 
 def run(argv, capsys):
@@ -167,12 +173,79 @@ def test_usage_error_exits_one(capsys):
         ["plan", "--n", "100", "--delta", "nan"],
         ["plan", "--n", "1", "--b", "8"],
         ["plan", "--n", "0", "--b", "8"],
+        # every experiment takes --n through planner.check_n, as plan does
+        ["failsweep", "--n", "1"],
+        ["fprate", "--n", "1", "--f", "8"],
+        ["loadsweep", "--n", "1", "--f", "8"],
+        ["compare", "--n", "1", "--f", "8"],
+        ["bloom", "--n", "1", "--bits", "100"],
     )
     for argv in bad:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 1
         capsys.readouterr()
+
+
+# flag: (library check, how the flag converts, edges: last in range, first out)
+RANGED_FLAGS = {
+    "--n": (planner.check_n, int, ["2", "1"]),
+    "--b": (check_block_size, int, ["1", "0", "255", "256"]),
+    "--f": (bitmatch.check_width, int, ["2", "1", "32", "33"]),
+    "--fgrid": (bitmatch.check_width, int, ["2", "1", "32", "33"]),
+    "--subtables": (check_subtables, int, ["1", "0", str(2**32 - 1), str(2**32)]),
+    "--stash": (check_stash_capacity, int, ["0", "-1", "65535", "65536"]),
+    "--trials": (lambda value: check_count(value, "trials"), int, ["1", "0"]),
+    "--seeds": (lambda value: check_count(value, "seeds"), int, ["1", "0"]),
+    "--queries": (lambda value: check_count(value, "queries"), int, ["1", "0"]),
+    "--bits": (lambda value: check_count(value, "num_bits"), int, ["1", "0"]),
+    "--load": (harness.check_load, float, ["1.0", "1.0000001", "5e-324", "0"]),
+    "--loads": (harness.check_load, float, ["1.0", "1.0000001", "5e-324", "0"]),
+    "--delta": (planner.check_load_slack, float, ["0.4999999", "0.5", "5e-324", "0"]),
+    "--s": (planner.check_failure_exponent, float, ["1", "0.9999999", "1e308", "inf"]),
+    "--target-fp-rate": (planner.check_fp_rate, float, ["0.9999999", "1", "5e-324", "0"]),
+}
+# the flags a subcommand requires, each set in range
+REQUIRED = {"--n": "100", "--f": "8", "--bits": "1000"}
+
+
+def _argvs(flag, value):
+    """One argv per subcommand that takes ``flag``, its required flags in range."""
+    commands = {name: flags.split() for name, (_, _, flags) in cli._EXPERIMENTS.items()}
+    commands["plan"] = ["--n", "--b", "--delta", "--s", "--target-fp-rate"]
+    return [
+        [name, *(arg for need in REQUIRED if need in flags for arg in (need, REQUIRED[need])),
+         flag, value]
+        for name, flags in commands.items()
+        if flag in flags
+    ]
+
+
+def test_every_ranged_flag_has_edges():
+    assert set(cli._FLAGS) - set(RANGED_FLAGS) == {"--seed", "--variant"}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [(flag, value) for flag, (_, _, edges) in RANGED_FLAGS.items() for value in edges],
+)
+def test_flag_refused_exactly_when_the_library_check_raises(flag, value):
+    check, convert, _ = RANGED_FLAGS[flag]
+    try:
+        check(convert(value))
+        refused = False
+    except ValueError:
+        refused = True
+    argvs = _argvs(flag, value)
+    assert argvs
+    for argv in argvs:
+        # parse only: a run at an upper edge would allocate 2^32 - 1 subtables
+        if refused:
+            with pytest.raises(SystemExit) as excinfo:
+                cli._build_parser().parse_args(argv)
+            assert excinfo.value.code == 1
+        else:
+            cli._build_parser().parse_args(argv)
 
 
 def test_selftest_passes(capsys):

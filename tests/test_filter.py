@@ -35,6 +35,7 @@ def make_filter(**overrides) -> CuckooFilter:
 def test_params_validation():
     good = dict(capacity=10, block_size=4, fingerprint_bits=8)
     FilterParams(**good)
+    FilterParams(np.int64(10), np.uint8(4), np.int32(8), num_subtables=np.int64(2))
     with pytest.raises(ValueError):
         FilterParams(**{**good, "capacity": 0})
     with pytest.raises(ValueError):
@@ -51,6 +52,25 @@ def test_params_validation():
         FilterParams(**{**good, "stash_capacity": -1})
     with pytest.raises(ValueError):
         FilterParams(**{**good, "max_evictions": 0})
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("stash_capacity", lambda: FilterParams(10, 4, 8, stash_capacity=1.5)),
+        ("max_evictions", lambda: FilterParams(10, 4, 8, max_evictions=2.5)),
+        ("block_size", lambda: FilterParams(10, 4.5, 8)),
+        ("fingerprint width", lambda: FilterParams(10, 4, 8.0)),
+        ("num_subtables", lambda: FilterParams(10, 4, 8, num_subtables=2.0)),
+        ("capacity", lambda: FilterParams(10.5, 4, 8)),
+        ("block_size", lambda: planner.PlanRequest(n=1000, block_size=8.5)),
+        ("n", lambda: planner.PlanRequest(n=1000.5, block_size=8)),
+    ],
+    ids=["stash", "evictions", "block", "width", "subtables", "capacity", "plan-block", "plan-n"],
+)
+def test_non_integer_geometry_is_a_type_error_naming_it(name, build):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        build()
 
 
 def test_stash_requires_simplified_variant():

@@ -30,6 +30,24 @@ def test_record_validation():
         record(successes=-1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: harness.run_load_sweep(100, 4, 8, [0.5], 0),
+        lambda: harness.run_load_sweep(100, 4, 8, [0.5], -1),
+        lambda: harness.run_failure_sweep(100, 4, 0.5, [8], 0),
+        lambda: harness.run_variant_compare(100, 4, 8, 1, 0),
+        lambda: harness.run_fp_experiment(100, 4, 8, 1, 0, [0]),
+        lambda: harness.bloom_baseline_rate(100, 1000, 0, 0),
+        lambda: record(trials=-1, successes=0),
+    ],
+    ids=["loadsweep", "loadsweep-negative", "failsweep", "compare", "fprate", "bloom", "record"],
+)
+def test_runners_refuse_counts_below_one(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_sort_is_total_and_stable():
     records = [
         record(seed=2), record(seed=0, experiment="loadsweep[0.9]"),
