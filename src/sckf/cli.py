@@ -78,9 +78,9 @@ _FLAGS = {
     "--seeds": ("seeds", dict(type=_checked(int, check_count, "seeds"), default=10,
                               help="number of seeds, counted up from --seed")),
     "--queries": ("queries", dict(type=_checked(int, check_count, "queries"), default=10**6)),
-    "--loads": ("loads", dict(type=_list_of(_checked(float, harness.check_load)),
+    "--loads": ("loads", dict(type=_list_of(_checked(float, planner.check_load)),
                               default="0.5,0.6,0.7,0.8,0.9,0.95", help="comma-separated target loads")),
-    "--load": ("load", dict(type=_checked(float, harness.check_load), default=0.9)),
+    "--load": ("load", dict(type=_checked(float, planner.check_load), default=0.9)),
     "--fgrid": ("fingerprint_grid", dict(type=_list_of(_checked(int, bitmatch.check_width)),
                                          default="2,3,4,5,6,7,8,9,10",
                                          help="comma-separated fingerprint widths")),

@@ -24,6 +24,9 @@ prefix [0, occupancy) unless a delete left a hole (an eviction path is
 applied as slot overwrites, so only a delete can); an insert appends at
 slot ``occupancy`` without a lane search when the bits from there up are
 zero, and otherwise fills the lowest empty slot.  Both pick the same slot.
+``insert_many`` runs that append in place for a whole counter batch, in
+the home cell or, when the home is full, in the alternate; a cell with a
+hole and a pair of full cells go to ``insert_hashed``.
 
 ``insert_hashed`` takes a global home index in [0, num_cells) and a
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
@@ -334,6 +337,46 @@ class CuckooFilter(_Addressing):
             cell, slot = step
         cells[cell] = bitmatch.write_lane(cells[cell], slot, f, fingerprint)
         return InsertOutcome.STORED
+
+    def insert_many(self, values: np.ndarray) -> int:
+        """Insert 64-bit counters (8-byte LE elements) in order; stop at a failure.
+
+        Equivalent to insert_hashed on each home cell and fingerprint of
+        hash_many(values), stopping at the first FAILED: returns how many
+        landed, in table or stash, before it (len(values) when all did).
+        values are checked as hashing.counter_batch documents, before any
+        insert.
+        """
+        homes, fps = self.hash_many(values)
+        # a batch built just for this call is freed here, not held through
+        # the loop beside its hashes
+        del values
+        cells = self._cells
+        occupancy = self._occupancy
+        block = self._block_size
+        f = self._f
+        alt = self._alt
+        insert = self.insert_hashed
+        failed = InsertOutcome.FAILED
+        appended = 0
+        try:
+            for done, (home, fp) in enumerate(zip(homes.tolist(), fps.tolist())):
+                cell = home
+                occ = occupancy[cell]
+                if occ == block:
+                    cell = alt(home, fp)
+                    occ = occupancy[cell]
+                shift = occ * f
+                stored = cells[cell]
+                if occ < block and not stored >> shift:
+                    cells[cell] = stored | fp << shift
+                    occupancy[cell] = occ + 1
+                    appended += 1
+                elif insert(home, fp) is failed:
+                    return done
+        finally:
+            self._table_count += appended
+        return len(homes)
 
     def query(self, element: bytes) -> bool:
         """Membership check: never false for a stored element."""

@@ -25,8 +25,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import bloom, hashing, planner
-from .filter import CuckooFilter, FilterParams, InsertOutcome, Variant, check_count
+from . import bitmatch, bloom, hashing, planner
+from .filter import CuckooFilter, FilterParams, Variant, check_block_size, check_count
 
 
 @dataclass
@@ -131,26 +131,14 @@ def build_filter(
 def insert_members(filt: CuckooFilter, n: int) -> int:
     """Insert counters [0, n); returns how many were inserted before a
     failure (n means all landed, in table or stash)."""
-    homes, fps = filt.hash_many(member_values(n))
-    insert = filt.insert_hashed
-    failed = InsertOutcome.FAILED
-    done = 0
-    for home, fp in zip(homes.tolist(), fps.tolist()):
-        if insert(home, fp) is failed:
-            return done
-        done += 1
-    return done
-
-
-def check_load(load: float) -> None:
-    """A target load lies in (0, 1]; NaN fails too."""
-    if not 0.0 < load <= 1.0:
-        raise ValueError(f"load must be in (0, 1], got {load}")
+    return filt.insert_many(member_values(n))
 
 
 def subtables_for_load(n: int, block_size: int, fingerprint_bits: int, load: float) -> int:
     """Fewest subtables so that n elements sit at or below the target load."""
-    check_load(load)
+    check_block_size(block_size)
+    bitmatch.check_width(fingerprint_bits)
+    planner.check_load(load)
     per_subtable = (1 << fingerprint_bits) * block_size * load
     return max(1, math.ceil(n / per_subtable))
 

@@ -25,7 +25,7 @@ result before returning it.
 import math
 from dataclasses import dataclass, field
 
-from .bitmatch import MAX_WIDTH, as_integer
+from .bitmatch import MAX_WIDTH, as_integer, check_width
 from .filter import MAX_BLOCK_SIZE, MAX_SUBTABLES, check_block_size, check_count
 
 _SLACK_COEFF = 1.0 - math.log(2.0)
@@ -99,6 +99,7 @@ def false_positive_bound(n: int, num_cells: int, block_size: int, fingerprint_bi
         raise ValueError(f"n must be nonnegative, got {n}")
     check_count(num_cells, "num_cells")
     check_block_size(block_size)
+    check_width(fingerprint_bits)
     if n > num_cells * block_size:
         raise ValueError(f"n={n} exceeds the {num_cells * block_size} table slots")
     return 2.0 * n / (num_cells * ((1 << fingerprint_bits) - 1))
@@ -112,6 +113,8 @@ def fingerprint_rate_bound(target_rate: float, block_size: int, load: float) -> 
     later rounds the table up to whole subtables.
     """
     check_fp_rate(target_rate)
+    check_block_size(block_size)
+    check_load(load)
     return math.log2(2.0 * block_size * load / target_rate + 1.0)
 
 
@@ -303,6 +306,11 @@ def check_failure_exponent(s: float) -> None:
 def check_load_slack(delta: float, upper: float = MAX_LOAD_SLACK) -> None:
     if not 0.0 < delta < upper:
         raise ValueError(f"load slack must be in (0, {upper}), got {delta}")
+
+
+def check_load(load: float) -> None:
+    if not 0.0 < load <= 1.0:
+        raise ValueError(f"load must be in (0, 1], got {load}")
 
 
 def check_fp_rate(rate: float) -> None:

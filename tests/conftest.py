@@ -1,10 +1,12 @@
 """Shared test helpers: element encoding, a numpy lane matcher with its
-oracle pair, and an independent table oracle."""
+oracle pair, an independent table oracle, and the per-insert reference for
+bulk fills."""
 
 import random
 
 import numpy as np
 
+from sckf.filter import InsertOutcome
 from sckf.hashing import encode_u64
 
 
@@ -110,6 +112,20 @@ class BlockedCuckooTable:
                 self.cells[candidate].remove(fingerprint)
                 return True
         return False
+
+
+def insert_each(filt, values) -> int:
+    """Reference for CuckooFilter.insert_many: one insert_hashed call per
+    counter; returns how many were inserted before a failure."""
+    homes, fps = filt.hash_many(values)
+    insert = filt.insert_hashed
+    failed = InsertOutcome.FAILED
+    done = 0
+    for home, fp in zip(homes.tolist(), fps.tolist()):
+        if insert(home, fp) is failed:
+            return done
+        done += 1
+    return done
 
 
 def counters(start: int, count: int) -> list[bytes]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sckf import bitmatch, cli, harness, planner
+from sckf import bitmatch, cli, planner
 from sckf.filter import (
     CuckooFilter,
     check_block_size,
@@ -199,8 +199,8 @@ RANGED_FLAGS = {
     "--seeds": (lambda value: check_count(value, "seeds"), int, ["1", "0"]),
     "--queries": (lambda value: check_count(value, "queries"), int, ["1", "0"]),
     "--bits": (lambda value: check_count(value, "num_bits"), int, ["1", "0"]),
-    "--load": (harness.check_load, float, ["1.0", "1.0000001", "5e-324", "0"]),
-    "--loads": (harness.check_load, float, ["1.0", "1.0000001", "5e-324", "0"]),
+    "--load": (planner.check_load, float, ["1.0", "1.0000001", "5e-324", "0"]),
+    "--loads": (planner.check_load, float, ["1.0", "1.0000001", "5e-324", "0"]),
     "--delta": (planner.check_load_slack, float, ["0.4999999", "0.5", "5e-324", "0"]),
     "--s": (planner.check_failure_exponent, float, ["1", "0.9999999", "1e308", "inf"]),
     "--target-fp-rate": (planner.check_fp_rate, float, ["0.9999999", "1", "5e-324", "0"]),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HEADER_SIZE, BlockedCuckooTable, counters, wire_blocks
+from conftest import HEADER_SIZE, BlockedCuckooTable, counters, insert_each, wire_blocks
 from sckf import planner
 from sckf.bloom import BloomFilter
 from sckf.filter import (
@@ -408,24 +408,29 @@ def _stashed_filter() -> CuckooFilter:
         (np.array([1.0]), TypeError),
         (np.array([-1], dtype=np.int64), ValueError),
         ([-1], ValueError),
+        ([3, -1], ValueError),
         ([2**64], ValueError),
         (np.uint64(5), ValueError),
         (np.arange(4, dtype=np.uint64).reshape(2, 2), ValueError),
     ],
     ids=[
         "float-list", "str-list", "bool-list", "bool-array", "float-array",
-        "negative-int64", "negative-int", "int-past-2^64", "0-d", "2-d",
+        "negative-int64", "negative-int", "negative-after-valid", "int-past-2^64", "0-d", "2-d",
     ],
 )
 def test_counter_batches_must_be_1d_integers_in_range(values, error):
     # a stash entry makes query_many look up single elements as well
     filt = _stashed_filter()
+    before = filt.to_bytes()
     baseline = BloomFilter(num_bits=64, num_hashes=2)
     # -1 must not wrap to the member 2^64 - 1
     baseline.add_many(np.array([2**64 - 1], dtype=np.uint64))
-    for call in (filt.hash_many, filt.query_many, baseline.add_many, baseline.contains_many):
+    calls = (filt.hash_many, filt.query_many, filt.insert_many, baseline.add_many, baseline.contains_many)
+    for call in calls:
         with pytest.raises(error):
             call(values)
+    # insert_many refuses the batch before inserting any of it
+    assert filt.to_bytes() == before
 
 
 def test_counter_batches_take_integer_sequences():
@@ -437,6 +442,9 @@ def test_counter_batches_take_integer_sequences():
     assert np.array_equal(filt.query_many(np.array(values[:3], dtype=np.int64)), expected[:3])
     assert np.array_equal(filt.query_many(np.array(values[:3], dtype=np.uint8)), expected[:3])
     assert filt.query_many([]).shape == (0,)
+    before = filt.to_bytes()
+    assert filt.insert_many([]) == filt.insert_many(np.array([], dtype=np.uint64)) == 0
+    assert filt.to_bytes() == before
 
 
 @pytest.mark.parametrize("element", ["alpha", [1, 2, 3], range(5), 7, None])
@@ -778,3 +786,75 @@ def test_churn_placement_matches_recorded_digest(variant):
         hashlib.sha256(",".join(log).encode()).hexdigest(),
     )
     assert got == (payload_digest, log_digest)
+
+
+# -- bulk insert ----------------------------------------------------------------
+
+# name: (filter parameters, counters inserted from 0, whether one fails)
+BULK_FILLS = {
+    "simplified": (dict(block_size=4, fingerprint_bits=8, num_subtables=2), 2000, False),
+    "simplified-stash4": (
+        dict(block_size=4, fingerprint_bits=6, num_subtables=2, stash_capacity=4, max_evictions=24),
+        520, True,
+    ),
+    "original": (
+        dict(block_size=4, fingerprint_bits=8, num_subtables=2, variant=Variant.ORIGINAL), 2000, False,
+    ),
+    "two-word-b13-f5": (dict(block_size=13, fingerprint_bits=5, num_subtables=2), 800, False),
+    "stashless-fails": (dict(block_size=1, fingerprint_bits=4, num_subtables=1), 40, True),
+}
+
+
+def _assert_same_state(bulk: CuckooFilter, reference: CuckooFilter) -> None:
+    assert bulk.stored_count == reference.stored_count
+    assert bulk.stash_count == reference.stash_count
+    assert bulk.to_bytes() == reference.to_bytes()
+
+
+@pytest.mark.parametrize("name", list(BULK_FILLS))
+def test_insert_many_matches_insert_hashed_loop(name):
+    overrides, count, fails = BULK_FILLS[name]
+    bulk, reference = make_filter(seed=11, **overrides), make_filter(seed=11, **overrides)
+    values = np.arange(count, dtype=np.uint64)
+    done = bulk.insert_many(values)
+    assert done == insert_each(reference, values)
+    _assert_same_state(bulk, reference)
+    assert bulk.stored_count == done
+    # the prefix count stops at the first failure, which changed nothing
+    assert (0 < done < count) if fails else done == count
+    if overrides.get("stash_capacity"):
+        assert bulk.stash_count > 0
+
+
+def _has_hole(block: list[int]) -> bool:
+    return 0 in block[: sum(1 for value in block if value)]
+
+
+def test_insert_many_defers_holes_to_insert_hashed():
+    params = dict(capacity=256, block_size=4, fingerprint_bits=6, num_subtables=1,
+                  stash_capacity=4, seed=3)
+    filt = make_filter(**params)
+    assert filt.insert_many(np.arange(230, dtype=np.uint64)) == 230
+    for value in range(0, 230, 5):
+        assert filt.delete(encode_u64(value))
+    reference = CuckooFilter.from_bytes(filt.to_bytes())
+    slow = []
+
+    def spy(home: int, fp: int) -> InsertOutcome:
+        # why the bulk loop did not append this one itself
+        blocks = wire_blocks(filt)
+        alt = alt_location(CellIndex(0, home), fp, filt.params).local
+        if 0 in blocks[home]:
+            slow.append("home hole" if _has_hole(blocks[home]) else "append")
+        elif 0 in blocks[alt]:
+            slow.append("alternate hole" if _has_hole(blocks[alt]) else "append")
+        else:
+            slow.append("both full")
+        return CuckooFilter.insert_hashed(filt, home, fp)
+
+    filt.insert_hashed = spy
+    values = np.arange(1000, 1040, dtype=np.uint64)
+    assert filt.insert_many(values) == insert_each(reference, values) == 40
+    _assert_same_state(filt, reference)
+    assert {"home hole", "alternate hole", "both full"} <= set(slow)
+    assert "append" not in slow

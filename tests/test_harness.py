@@ -115,6 +115,19 @@ def test_subtables_for_load():
             assert n / ((subtables - 1) * (1 << f) * b) > load
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: harness.run_failure_sweep(100, 4, 0.5, [8.0], 1),
+        lambda: harness.run_load_sweep(100, 4, 8.0, [0.5], 1),
+    ],
+    ids=["failsweep", "loadsweep"],
+)
+def test_runners_name_a_non_integer_width(call):
+    with pytest.raises(TypeError, match="fingerprint width"):
+        call()
+
+
 def test_fp_experiment_records():
     records = harness.run_fp_experiment(
         n=2000, block_size=4, fingerprint_bits=12, num_subtables=1,

@@ -112,6 +112,21 @@ def test_false_positive_bound_edge_cases():
         planner.false_positive_bound(65, 16, 4, 8)  # more fingerprints than slots
 
 
+def test_false_positive_bound_checks_the_width():
+    with pytest.raises(ValueError, match="fingerprint width"):
+        planner.false_positive_bound(10, 16, 4, 0)
+
+
+@pytest.mark.parametrize(
+    "block_size, load, name",
+    [(0, 0.9, "block_size"), (4, 1.5, "load")],
+    ids=["block-size-0", "load-1.5"],
+)
+def test_fingerprint_rate_bound_checks_its_geometry(block_size, load, name):
+    with pytest.raises(ValueError, match=name):
+        planner.fingerprint_rate_bound(0.01, block_size, load)
+
+
 def test_fingerprint_bits_for_rate_inverts_the_bound():
     for rate in (1e-2, 1e-3, 1e-4, 1e-6):
         for b in (4, 8):

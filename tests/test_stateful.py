@@ -7,6 +7,8 @@ trip carries all of that state.  The geometry b=13, f=5 has 65-bit blocks,
 two wire words with slot 12 across the boundary; its 416-slot subtables
 fill through the ``fill`` rule's runs of consecutive values, so batch
 queries and round trips also meet holes and evictions in multi-word blocks.
+The ``bulk_fill`` rule runs the same runs through ``insert_many`` and checks
+it against a scalar insert loop on a copy, in whatever state the table is.
 """
 
 from collections import Counter
@@ -52,6 +54,19 @@ class FilterMachine(RuleBasedStateMachine):
     @rule(start=VALUES, count=st.integers(1, 128))
     def fill(self, start, count):
         self.insert(range(start, start + count))
+
+    @rule(start=VALUES, count=st.integers(1, 128))
+    def bulk_fill(self, start, count):
+        scalar = CuckooFilter.from_bytes(self.filt.to_bytes())
+        done = self.filt.insert_many(np.arange(start, start + count, dtype=np.uint64))
+        landed = 0
+        for value in range(start, start + count):
+            if scalar.insert(encode_u64(value)) is InsertOutcome.FAILED:
+                break
+            landed += 1
+        assert done == landed
+        assert self.filt.to_bytes() == scalar.to_bytes()
+        self.live.update(range(start, start + done))
 
     @precondition(lambda self: self.live)
     @rule(data=st.data(), count=st.integers(1, 8))
