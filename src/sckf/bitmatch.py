@@ -60,15 +60,6 @@ def find_fingerprint(word: int, fingerprint: int, lane_constant: int, width: int
     return (low.bit_length() - 1) // width - 1
 
 
-def naive_find(word: int, fingerprint: int, width: int, lanes: int) -> int | None:
-    """Loop-based reference for find_fingerprint."""
-    ones = (1 << width) - 1
-    for i in range(lanes):
-        if (word >> (i * width)) & ones == fingerprint:
-            return i
-    return None
-
-
 def write_lane(word: int, lane: int, width: int, value: int) -> int:
     """``word`` with lane ``lane`` overwritten by ``value`` (0 empties it)."""
     shift = lane * width

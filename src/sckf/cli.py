@@ -141,9 +141,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(handler=functools.partial(_run_experiment, run, keywords))
 
-    p = sub.add_parser("selftest", help="exhaustive lane-match check against the loop oracle")
-    p.set_defaults(handler=_cmd_selftest)
-
     return parser
 
 
@@ -196,22 +193,6 @@ def _cmd_plan(args) -> int:
     for warning in result.warnings:
         print(f"warning: {warning}")
     return 0
-
-
-def _cmd_selftest(args) -> int:
-    checked = mismatched = 0
-    for width, max_lanes in ((2, 3), (3, 3), (4, 2)):
-        for lanes in range(1, max_lanes + 1):
-            constant = bitmatch.make_lane_constant(width, lanes)
-            for word in range(1 << (lanes * width)):
-                for fp in range(1, 1 << width):
-                    checked += 1
-                    if bitmatch.find_fingerprint(word, fp, constant, width) != bitmatch.naive_find(
-                        word, fp, width, lanes
-                    ):
-                        mismatched += 1
-    print(f"selftest: {checked - mismatched}/{checked} lane searches match the loop oracle")
-    return 0 if mismatched == 0 else INFEASIBLE_EXIT
 
 
 if __name__ == "__main__":

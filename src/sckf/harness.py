@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bitmatch, bloom, hashing, planner
-from .filter import CuckooFilter, FilterParams, Variant, check_block_size, check_count
+from .filter import MAX_SUBTABLES, CuckooFilter, FilterParams, Variant, check_block_size, check_count
 
 
 @dataclass
@@ -68,34 +68,18 @@ class TrialRecord:
 CSV_FIELDS = [col.name for col in fields(TrialRecord) if col.name != "wall_time_s"]
 
 
-def sort_records(records) -> list[TrialRecord]:
-    return sorted(records, key=TrialRecord.sort_key)
-
-
-def write_csv(records, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for record in sort_records(records):
-        writer.writerow([getattr(record, name) for name in CSV_FIELDS])
-
-
-def write_json(records, stream) -> None:
-    payload = [
-        {name: getattr(record, name) for name in CSV_FIELDS}
-        for record in sort_records(records)
-    ]
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
-
-
 def render(records, fmt: str) -> str:
-    stream = io.StringIO()
-    if fmt == "csv":
-        write_csv(records, stream)
-    elif fmt == "json":
-        write_json(records, stream)
-    else:
+    """CSV or JSON text of the records, sorted by ``TrialRecord.sort_key``."""
+    rows = [
+        [getattr(record, name) for name in CSV_FIELDS]
+        for record in sorted(records, key=TrialRecord.sort_key)
+    ]
+    if fmt == "json":
+        return json.dumps([dict(zip(CSV_FIELDS, row)) for row in rows], indent=2) + "\n"
+    if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
+    stream = io.StringIO()
+    csv.writer(stream, lineterminator="\n").writerows([CSV_FIELDS, *rows])
     return stream.getvalue()
 
 
@@ -140,6 +124,9 @@ def subtables_for_load(n: int, block_size: int, fingerprint_bits: int, load: flo
     bitmatch.check_width(fingerprint_bits)
     planner.check_load(load)
     per_subtable = (1 << fingerprint_bits) * block_size * load
+    # compared before dividing: a subnormal load makes n / per_subtable infinite
+    if n > MAX_SUBTABLES * per_subtable:
+        raise ValueError(f"n needs more than the {MAX_SUBTABLES} subtables the wire format holds")
     return max(1, math.ceil(n / per_subtable))
 
 

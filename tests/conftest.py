@@ -1,6 +1,6 @@
-"""Shared test helpers: element encoding, a numpy lane matcher with its
-oracle pair, an independent table oracle, and the per-insert reference for
-bulk fills."""
+"""Shared test helpers: element encoding, the loop oracles for the lane
+matcher (scalar and numpy), a numpy lane matcher, an independent table
+oracle, and the per-insert reference for bulk fills."""
 
 import random
 
@@ -48,6 +48,15 @@ def find_fingerprint_many(
     position = np.log2(safe.astype(np.float64)).astype(np.int64)
     lane = position // width - 1
     return np.where(r == 0, np.int64(-1), lane)
+
+
+def naive_find(word: int, fingerprint: int, width: int, lanes: int) -> int | None:
+    """Loop-based reference for find_fingerprint."""
+    ones = (1 << width) - 1
+    for i in range(lanes):
+        if (word >> (i * width)) & ones == fingerprint:
+            return i
+    return None
 
 
 def naive_find_many(

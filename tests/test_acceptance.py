@@ -11,7 +11,13 @@ import time
 
 import numpy as np
 
-from conftest import BlockedCuckooTable, find_fingerprint_many, lanes_per_word, naive_find_many
+from conftest import (
+    BlockedCuckooTable,
+    find_fingerprint_many,
+    lanes_per_word,
+    naive_find,
+    naive_find_many,
+)
 from sckf import bitmatch, harness, planner
 from sckf.bloom import BloomFilter, hash_count_for
 from sckf.filter import (
@@ -36,7 +42,7 @@ def test_c01_lane_match_agrees_with_loop_oracle_everywhere():
     for word in range(1 << 9):
         for fp in range(1, 8):
             got = bitmatch.find_fingerprint(word, fp, const3, 3)
-            want = bitmatch.naive_find(word, fp, 3, 3)
+            want = naive_find(word, fp, 3, 3)
             assert got == want, (word, fp, got, want)
             exhaustive += 1
     assert exhaustive == 3584

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import find_fingerprint_many, lanes_per_word, match_bits_many
+from conftest import find_fingerprint_many, lanes_per_word, match_bits_many, naive_find
 from sckf import bitmatch
 
 
@@ -55,7 +55,7 @@ def test_exhaustive_small_geometries(width, max_lanes):
         constant = bitmatch.make_lane_constant(width, lanes)
         for word in range(1 << (lanes * width)):
             for fp in range(1, 1 << width):
-                assert bitmatch.find_fingerprint(word, fp, constant, width) == bitmatch.naive_find(
+                assert bitmatch.find_fingerprint(word, fp, constant, width) == naive_find(
                     word, fp, width, lanes
                 )
 
@@ -80,7 +80,7 @@ def test_find_matches_naive_property(data, width):
     constant = bitmatch.make_lane_constant(width, lanes)
     word = data.draw(st.integers(min_value=0, max_value=(1 << (lanes * width)) - 1))
     fp = data.draw(st.integers(min_value=1, max_value=(1 << width) - 1))
-    assert bitmatch.find_fingerprint(word, fp, constant, width) == bitmatch.naive_find(
+    assert bitmatch.find_fingerprint(word, fp, constant, width) == naive_find(
         word, fp, width, lanes
     )
 
@@ -109,7 +109,7 @@ def test_find_matches_naive_on_dense_multiword_cells(data, geometry):
     slots = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=lanes, max_size=lanes))
     fp = data.draw(st.one_of(st.sampled_from(slots), st.integers(0, (1 << width) - 1)))
     cell = pack_cell(slots, width)
-    assert bitmatch.find_fingerprint(cell, fp, constant, width) == bitmatch.naive_find(
+    assert bitmatch.find_fingerprint(cell, fp, constant, width) == naive_find(
         cell, fp, width, lanes
     )
 

@@ -1,7 +1,10 @@
 """Command line surface: exit codes, output formats, reproducibility."""
 
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -63,14 +66,18 @@ def test_plan_infeasible_exits_two(capsys):
         # more subtables than the wire format's u32 count, and an n past float range
         ["plan", "--n", str(2**70), "--b", "8"],
         ["plan", "--n", str(2**2000), "--b", "255", "--delta", "0.1"],
+        # a subnormal load passes check_load but sizes more subtables than the u32 count
+        ["loadsweep", "--n", "100", "--b", "4", "--f", "8", "--loads", "1e-320", "--trials", "1"],
+        ["failsweep", "--n", "100", "--b", "4", "--load", "1e-320", "--fgrid", "8", "--trials", "1"],
     ],
-    ids=["s-1e308", "delta-1e-300", "delta-1e-80", "fp-rate-1e-320", "n-2^70", "n-2^2000"],
+    ids=["s-1e308", "delta-1e-300", "delta-1e-80", "fp-rate-1e-320", "n-2^70", "n-2^2000",
+         "loadsweep-1e-320", "failsweep-1e-320"],
 )
 def test_extreme_plan_exits_two(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("infeasible:") and "Traceback" not in err
+    assert err.startswith("infeasible:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -179,6 +186,8 @@ def test_usage_error_exits_one(capsys):
         ["loadsweep", "--n", "1", "--f", "8"],
         ["compare", "--n", "1", "--f", "8"],
         ["bloom", "--n", "1", "--bits", "100"],
+        # the lane-match loop oracle lives in the tests, so there is no selftest command
+        ["selftest"],
     )
     for argv in bad:
         with pytest.raises(SystemExit) as excinfo:
@@ -248,10 +257,26 @@ def test_flag_refused_exactly_when_the_library_check_raises(flag, value):
             cli._build_parser().parse_args(argv)
 
 
-def test_selftest_passes(capsys):
-    code, out, _ = run(["selftest"], capsys)
-    assert code == 0
-    assert "match the loop oracle" in out
+def _readme_cli_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_block_lists_every_subcommand():
+    block = re.search(r"```sh\n(.*?)```", _readme_cli_section(), re.DOTALL).group(1)
+    listed = {line.split()[1] for line in block.splitlines() if line.startswith("sckf ")}
+    (subparsers,) = (
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert listed == set(subparsers.choices)
+
+
+def test_readme_flag_table_matches_each_experiment():
+    rows = re.findall(r"^\| `(\w+)` +\| `([^`]*)` +\|$", _readme_cli_section(), re.MULTILINE)
+    assert {command: flags.split() for command, flags in rows} == {
+        command: flags.split() for command, (_, _, flags) in cli._EXPERIMENTS.items()
+    }
 
 
 def test_fprate_runs_are_byte_identical(capsys):

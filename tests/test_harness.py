@@ -53,34 +53,37 @@ def test_sort_is_total_and_stable():
         record(seed=2), record(seed=0, experiment="loadsweep[0.9]"),
         record(seed=1), record(seed=0),
     ]
-    ordered = harness.sort_records(records)
-    keys = [r.sort_key() for r in ordered]
-    assert keys == sorted(keys)
-    assert ordered[0].experiment == "fprate"
+    rows = list(csv.DictReader(io.StringIO(harness.render(records, "csv"))))
+    keys = [
+        (row["experiment"], row["variant"],
+         *(int(row[name]) for name in ("n", "b", "f", "num_subtables", "stash_capacity", "seed")))
+        for row in rows
+    ]
+    assert keys == sorted(record.sort_key() for record in records)
+    assert rows[0]["experiment"] == "fprate"
 
 
 def test_csv_round_trip_drops_wall_time():
-    records = harness.sort_records([record(seed=s, wall_time_s=9.9) for s in range(3)])
-    out = io.StringIO()
-    harness.write_csv(records, out)
-    text = out.getvalue()
+    records = [record(seed=s, wall_time_s=9.9) for s in (2, 0, 1)]
+    text = harness.render(records, "csv")
     assert "wall_time" not in text
     assert text.endswith("\n")
     reader = csv.DictReader(io.StringIO(text))
     assert reader.fieldnames == harness.CSV_FIELDS
     assert list(reader) == [
         {name: str(getattr(original, name)) for name in harness.CSV_FIELDS}
-        for original in records
+        for original in sorted(records, key=TrialRecord.sort_key)
     ]
 
 
 def test_json_output_is_sorted_and_time_free():
     records = [record(seed=1), record(seed=0)]
-    out = io.StringIO()
-    harness.write_json(records, out)
-    loaded = json.loads(out.getvalue())
+    text = harness.render(records, "json")
+    assert text.endswith("\n")
+    loaded = json.loads(text)
     assert [row["seed"] for row in loaded] == [0, 1]
     assert all("wall_time_s" not in row for row in loaded)
+    assert all(list(row) == harness.CSV_FIELDS for row in loaded)
 
 
 def test_render_both_formats():
@@ -113,6 +116,9 @@ def test_subtables_for_load():
         assert n / (subtables * (1 << f) * b) <= load * (1 + 1e-12)
         if subtables > 1:
             assert n / ((subtables - 1) * (1 << f) * b) > load
+    # a subnormal load passes check_load, but n / per_subtable would be infinite
+    with pytest.raises(ValueError, match="subtables the wire format holds"):
+        harness.subtables_for_load(100, 4, 8, 1e-320)
 
 
 @pytest.mark.parametrize(
