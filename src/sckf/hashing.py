@@ -8,7 +8,10 @@ trailing zero bytes change the hash.
 The ``*_many`` variants run the identical arithmetic on numpy uint64 arrays
 (wrapping multiplication matches the scalar mod-2^64 behaviour bit for bit);
 they exist so experiments can hash millions of elements without a Python
-loop per element.
+loop per element.  They work through a batch in chunks of ``_CHUNK``
+values, in place: each chunk's arithmetic runs on vectors that stay in
+cache, rather than streaming a batch-sized temporary through memory per
+step.
 """
 
 import numpy as np
@@ -22,6 +25,10 @@ _MULT2 = 0x94D049BB133111EB
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MULT1_U64 = np.uint64(_MULT1)
 _MULT2_U64 = np.uint64(_MULT2)
+
+# values per chunk of the batch kernels, here and in CuckooFilter.query_many:
+# a chunk's few working vectors, 256 KiB each as uint64, stay in L2 cache
+_CHUNK = 1 << 15
 
 
 def mix64(value: int) -> int:
@@ -46,17 +53,32 @@ def hash_u64(value: int, seed: int) -> int:
 
 
 def hash_u64_many(values: np.ndarray, seed: int) -> np.ndarray:
-    """Vectorized hash_u64 over a uint64 array."""
-    v = np.asarray(values, dtype=np.uint64)
-    h = _mix64_many(v ^ np.uint64(seed))
-    return _mix64_many(h ^ np.uint64(8))
+    """Vectorized hash_u64 over a uint64 array, element-wise in its shape."""
+    values = np.asarray(values, dtype=np.uint64)
+    out = np.empty(values.shape, dtype=np.uint64)
+    flat_values, flat_out = values.reshape(-1), out.reshape(-1)  # flat_out is a view of out
+    scratch = np.empty(min(values.size, _CHUNK), dtype=np.uint64)
+    seed = np.uint64(seed)
+    for start in range(0, values.size, _CHUNK):
+        z = flat_out[start : start + _CHUNK]
+        np.bitwise_xor(flat_values[start : start + _CHUNK], seed, out=z)
+        _mix64_in_place(z, scratch[: z.size])
+        z ^= np.uint64(8)
+        _mix64_in_place(z, scratch[: z.size])
+    return out
 
 
-def _mix64_many(z: np.ndarray) -> np.ndarray:
-    z = z + _GOLDEN_U64
-    z = (z ^ (z >> np.uint64(30))) * _MULT1_U64
-    z = (z ^ (z >> np.uint64(27))) * _MULT2_U64
-    return z ^ (z >> np.uint64(31))
+def _mix64_in_place(z: np.ndarray, scratch: np.ndarray) -> None:
+    """mix64 over z, overwriting it; scratch is a buffer of z's size."""
+    z += _GOLDEN_U64
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= _MULT1_U64
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= _MULT2_U64
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -69,9 +69,12 @@ def test_plan_infeasible_exits_two(capsys):
         # a subnormal load passes check_load but sizes more subtables than the u32 count
         ["loadsweep", "--n", "100", "--b", "4", "--f", "8", "--loads", "1e-320", "--trials", "1"],
         ["failsweep", "--n", "100", "--b", "4", "--load", "1e-320", "--fgrid", "8", "--trials", "1"],
+        # more cells than sys.maxsize: refused before any table is allocated
+        ["fprate", "--n", "100", "--b", "4", "--f", "32", "--subtables", "4294967295",
+         "--queries", "10"],
     ],
     ids=["s-1e308", "delta-1e-300", "delta-1e-80", "fp-rate-1e-320", "n-2^70", "n-2^2000",
-         "loadsweep-1e-320", "failsweep-1e-320"],
+         "loadsweep-1e-320", "failsweep-1e-320", "fprate-cells-past-maxsize"],
 )
 def test_extreme_plan_exits_two(argv, capsys):
     code, out, err = run(argv, capsys)

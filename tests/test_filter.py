@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +388,28 @@ def test_query_many_matches_scalar_queries():
             location = CellIndex(*divmod(home, subtable_cells))
             assert hash_element(element, params) == (location, fp)
             assert alt_location(location, fp, params) == CellIndex(*divmod(alt, subtable_cells))
+
+
+def test_query_many_memory_stays_blocked():
+    # a 2^20-probe batch at b=8, f=16: chunked comparison keeps the
+    # temporaries to a few batch-sized arrays (hashes, alternates, answers)
+    filt = make_filter(capacity=100_000, block_size=8, fingerprint_bits=16, num_subtables=1)
+    assert filt.insert_many(np.arange(100_000, dtype=np.uint64)) == 100_000
+    batch = np.arange(1 << 30, (1 << 30) + (1 << 20), dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        filt.query_many(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * batch.nbytes, f"peak {peak / batch.nbytes:.2f}x the batch"
+
+
+def test_table_past_sys_maxsize_is_a_memory_error():
+    params = FilterParams(capacity=100, block_size=4, fingerprint_bits=32, num_subtables=2**32 - 1)
+    assert params.num_cells > sys.maxsize
+    with pytest.raises(MemoryError, match="num_cells"):
+        CuckooFilter(params)
 
 
 def _stashed_filter() -> CuckooFilter:

@@ -34,6 +34,16 @@ def test_vectorized_hash_matches_scalar():
     batch = hashing.hash_u64_many(values, seed=42)
     scalar = [hashing.hash_u64(int(value), 42) for value in values]
     assert batch.tolist() == scalar
+    # batches that end just before, on and just past a chunk edge
+    chunk = hashing._CHUNK
+    wide = np.arange(6 * chunk + 9, dtype=np.uint64) * np.uint64(0xD1B54A32D192ED03)
+    for size in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        for batch_values in (wide[:size], wide[: 3 * size : 3]):  # a strided view as well
+            batch = hashing.hash_u64_many(batch_values, seed=42)
+            assert batch.tolist() == [hashing.hash_u64(v, 42) for v in batch_values.tolist()], size
+    grid = wide[:12].reshape(3, 4).T  # element-wise in any shape, views included
+    expected = [[hashing.hash_u64(v, 42) for v in row] for row in grid.tolist()]
+    assert hashing.hash_u64_many(grid, seed=42).tolist() == expected
 
 
 def test_derive_seed_streams_are_distinct():

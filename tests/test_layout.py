@@ -2,8 +2,9 @@
 
 Geometries where a block spans more than one 64-bit wire word are the ones
 where a slot can straddle a word boundary: at b=7, f=10 slot 6 holds bits
-60-69.  At b=8, f=16 a block is exactly two words with no padding, and at
-b=4, f=16 one word whose top bit belongs to the last slot.
+60-69.  At b=8, f=16 a block is exactly two words with no padding, at
+b=13, f=12 three words (156 bits), and at b=4, f=16 one word whose top bit
+belongs to the last slot.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from sckf import hashing
 from sckf.filter import (
     CuckooFilter,
     FilterParams,
@@ -66,7 +68,7 @@ def stashed_filter(block_size: int, fingerprint_bits: int, count: int) -> tuple:
     return filt, members
 
 
-WIDE_GEOMETRIES = [(7, 10, 5000), (8, 16, 20000), (4, 16, 20000)]
+WIDE_GEOMETRIES = [(7, 10, 5000), (8, 16, 20000), (4, 16, 20000), (13, 12, 20000)]
 
 
 @pytest.mark.parametrize("block_size,fingerprint_bits,count", WIDE_GEOMETRIES)
@@ -183,3 +185,36 @@ GOLDEN_PAYLOADS = {
 def test_payload_matches_recorded_digest(name):
     build, digest = GOLDEN_PAYLOADS[name]
     assert hashlib.sha256(build().to_bytes()).hexdigest() == digest
+
+
+def _b4_f12() -> CuckooFilter:
+    filt = CuckooFilter(FilterParams(capacity=8000, block_size=4, fingerprint_bits=12, seed=25))
+    fill(filt, 8000)
+    return filt
+
+
+CHUNK_EDGE_FILTERS = {
+    "b4-f12": (_b4_f12, 8000),
+    "b8-f16": (_golden_b8_f16, 30000),
+    "b7-f10": (_golden_b7_f10, 11000),
+    "original": (_golden_original, 3000),
+    "b4-f12-stash": (_golden_b4_f12_stash, 8000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_EDGE_FILTERS))
+def test_query_many_matches_scalar_across_chunk_edges(name):
+    build, count = CHUNK_EDGE_FILTERS[name]
+    filt = build()
+    chunk = hashing._CHUNK
+    # members and absent values alternate, so every chunk, the last partial
+    # one included, holds probes that must answer True
+    total = 2 * chunk + 3
+    values = np.empty(total, dtype=np.uint64)
+    values[0::2] = FILL_BASE + np.arange((total + 1) // 2, dtype=np.uint64) % np.uint64(count)
+    values[1::2] = FILL_BASE + count + np.arange(total // 2, dtype=np.uint64)
+    if filt.stash_count:
+        values[-1] = 0  # the stashed value, in the last partial chunk
+    scalar = [filt.query(encode_u64(value)) for value in values.tolist()]
+    for size in (chunk - 1, chunk, chunk + 1, total):
+        assert filt.query_many(values[:size]).tolist() == scalar[:size], size
