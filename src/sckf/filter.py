@@ -28,6 +28,15 @@ zero, and otherwise fills the lowest empty slot.  Both pick the same slot.
 the home cell or, when the home is full, in the alternate; a cell with a
 hole and a pair of full cells go to ``insert_hashed``.
 
+Batch queries and ``to_bytes`` read a derived view of the cell ints: the
+v1 wire table as a ``(num_cells, words)`` uint64 array, ``8 * words``
+bytes per cell.  ``from_bytes`` adopts the table it decoded as the view;
+otherwise the first batch read builds it.  While a view exists,
+``insert_hashed`` and ``delete`` mark each cell they write, and the next
+batch read re-encodes just those cells.  ``insert_many`` does not track
+its appends: it drops the view, and the next batch read builds it anew.
+Scalar operations read and write only the cell ints.
+
 ``insert_hashed`` takes a global home index in [0, num_cells) and a
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
 ValueError and non-integers a TypeError.
@@ -40,8 +49,10 @@ Queries never report a stored element as absent.  False positives occur at
 a rate bounded by ``2n / (num_cells * (2**fingerprint_bits - 1))``.
 
 A filter instance is not thread-safe for writes; concurrent experiments
-should use one instance per worker.  Instances are plain Python state and
-move freely between threads or processes.
+should use one instance per worker.  Batch reads refresh the view, so they
+write to the instance too, but concurrent readers with no writer stay
+safe: a refresh writes the same bytes whoever runs it.  Instances are
+plain Python state and move freely between threads or processes.
 """
 
 import enum
@@ -66,6 +77,10 @@ SERIAL_VERSION = 1
 _HEADER = struct.Struct("<4sBBBBIIQQ")
 _STASH_COUNT = struct.Struct("<H")
 _STASH_ENTRY = struct.Struct("<II")
+
+# cells encoded per step of a view build: each step's per-cell bytes objects
+# stay near 64 KiB (2^15-cell steps peaked at 4 MiB for a 224 KiB view)
+_BUILD_CELLS = 1 << 10
 
 # sub-seed stream indexes of the master seed
 _STREAM_FP = 0
@@ -280,6 +295,10 @@ class CuckooFilter(_Addressing):
         self._cells = [0] * self._n_cells
         # one byte per cell: a zero-lane fullness test on the cell int instead fills ~18% slower
         self._occupancy = bytearray(self._n_cells)
+        # the wire-table view and the cells written since it was current;
+        # both None when there is no view (see _wire_rows)
+        self._rows: np.ndarray | None = None
+        self._dirty: set[int] | None = None
         self._stashes: list[list[tuple[int, int]]] = [[] for _ in range(params.num_subtables)]
         self._table_count = 0
         self._stash_count = 0
@@ -335,8 +354,11 @@ class CuckooFilter(_Addressing):
         # else slots [0, occ) are full and the rest empty: append at occ
         occupancy[cell] = occ + 1
         self._table_count += 1
+        dirty = self._dirty
         if came_from is None:
             cells[cell] = stored | fingerprint << slot * f
+            if dirty is not None:
+                dirty.add(cell)
             return InsertOutcome.STORED
         # leaf-first, each fingerprint on the path steps into the slot vacated
         # after it; every cell but the leaf was full, so nothing else changes
@@ -344,8 +366,12 @@ class CuckooFilter(_Addressing):
             source, source_slot = step
             moved = (cells[source] >> source_slot * f) & self._fp_mask
             cells[cell] = bitmatch.write_lane(cells[cell], slot, f, moved)
+            if dirty is not None:
+                dirty.add(cell)
             cell, slot = step
         cells[cell] = bitmatch.write_lane(cells[cell], slot, f, fingerprint)
+        if dirty is not None:
+            dirty.add(cell)
         return InsertOutcome.STORED
 
     def insert_many(self, values: np.ndarray) -> int:
@@ -382,10 +408,15 @@ class CuckooFilter(_Addressing):
                     cells[cell] = stored | fp << shift
                     occupancy[cell] = occ + 1
                     appended += 1
-                elif insert(home, fp) is failed:
+                    continue
+                # appends are not marked, so any view is stale by now: drop
+                # it before insert_hashed (or a read inside it) can use it
+                self._rows = self._dirty = None
+                if insert(home, fp) is failed:
                     return done
         finally:
             self._table_count += appended
+            self._rows = self._dirty = None
         return len(homes)
 
     def query(self, element: bytes) -> bool:
@@ -399,26 +430,24 @@ class CuckooFilter(_Addressing):
         """Vectorized query over 64-bit counters (8-byte LE elements).
 
         Equivalent to query(encode_u64(v)) for each v, evaluated with
-        numpy: the probed cells are encoded once, then the probes are
-        compared chunk by chunk, so each chunk's temporaries stay in cache.
+        numpy on the wire-table view: the probes are hashed once, then
+        their alternates computed and both cells compared chunk by chunk,
+        so each chunk's temporaries stay in cache.
         """
         homes, fps = self.hash_many(values)
-        alts = self._alt_many(homes, fps).view(np.int64)  # cells < 2^63: numpy indexes int64 uncast
-        homes = homes.view(np.int64)
-        # encode each probed cell once, into a table that is zero elsewhere
-        mask = np.zeros(self._n_cells, dtype=bool)
-        mask[homes] = mask[alts] = True
-        probed = np.flatnonzero(mask)
-        table = np.zeros((self._block_words, self._n_cells), dtype=np.uint64)
-        table[:, probed] = self._wire_columns(self._table_bytes(probed.tolist()))
+        rows = self._wire_rows()
+        table = [rows[:, word] for word in range(self._block_words)]
         hits = np.zeros(homes.shape, dtype=bool)
         chunk = hashing._CHUNK
         for start in range(0, homes.size, chunk):
             part = slice(start, start + chunk)
+            chunk_homes = homes[part]
             chunk_fps = fps[part]
             chunk_hits = hits[part]
-            for cells in (homes[part], alts[part]):
-                # per-word column gathers: a 2-D row gather table[cells] is ~4x slower
+            for cells in (chunk_homes, self._alt_many(chunk_homes, chunk_fps)):
+                # cells < 2^63: numpy indexes int64 uncast; per-word column
+                # gathers: a 2-D row gather rows[cells] is ~4x slower
+                cells = cells.view(np.int64)
                 columns = [column[cells] for column in table]
                 for slot in range(self._block_size):
                     chunk_hits |= self._slot_values(columns, slot) == chunk_fps
@@ -488,6 +517,8 @@ class CuckooFilter(_Addressing):
         if slot is None:
             return False
         self._cells[cell] = bitmatch.write_lane(self._cells[cell], slot, self._f, 0)
+        if self._dirty is not None:
+            self._dirty.add(cell)
         self._occupancy[cell] -= 1
         self._table_count -= 1
         return True
@@ -558,25 +589,24 @@ class CuckooFilter(_Addressing):
         followed by (canonical_local u32, fingerprint u32) stash entries.
         """
         p = self.params
-        out = bytearray(
-            _HEADER.pack(
-                SERIAL_MAGIC,
-                SERIAL_VERSION,
-                _VARIANT_CODE[p.variant],
-                p.fingerprint_bits,
-                p.block_size,
-                p.num_subtables,
-                p.stash_capacity,
-                p.seed,
-                self.stored_count,
-            )
+        header = _HEADER.pack(
+            SERIAL_MAGIC,
+            SERIAL_VERSION,
+            _VARIANT_CODE[p.variant],
+            p.fingerprint_bits,
+            p.block_size,
+            p.num_subtables,
+            p.stash_capacity,
+            p.seed,
+            self.stored_count,
         )
-        out += self._table_bytes(range(self._n_cells))
+        stashes = bytearray()
         for stash in self._stashes:
-            out += _STASH_COUNT.pack(len(stash))
+            stashes += _STASH_COUNT.pack(len(stash))
             for local, fp in stash:
-                out += _STASH_ENTRY.pack(local, fp)
-        return bytes(out)
+                stashes += _STASH_ENTRY.pack(local, fp)
+        # the view's buffer is the wire table, so the join copies it once
+        return b"".join((header, self._wire_rows(), stashes))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CuckooFilter":
@@ -623,7 +653,9 @@ class CuckooFilter(_Addressing):
                 f"table needs {table_bytes} bytes, got {len(data) - offset}"
             )
         filt = cls(params)
-        filt._load_table(data[offset : offset + table_bytes])
+        # one copy of the payload's table, which the filter keeps as its view
+        rows = np.frombuffer(data, dtype="<u8", count=table_bytes // 8, offset=offset)
+        filt._load_table(rows.reshape(params.num_cells, dense_words).copy())
         offset += table_bytes
         offset = filt._load_stashes(data, offset)
         if offset != len(data):
@@ -639,13 +671,32 @@ class CuckooFilter(_Addressing):
         size = 8 * self._block_words
         return b"".join([self._cells[cell].to_bytes(size, "little") for cell in cells])
 
-    def _wire_columns(self, table: bytes) -> list[np.ndarray]:
-        """Views of wire-format blocks: word k of every block per array."""
-        rows = np.frombuffer(table, dtype="<u8").reshape(-1, self._block_words)
-        return [rows[:, word] for word in range(self._block_words)]
+    def _wire_rows(self) -> np.ndarray:
+        """The wire-table view, brought up to date with the cell ints.
 
-    def _load_table(self, table: bytes) -> None:
-        columns = self._wire_columns(table)
+        Re-encodes only the cells marked since the last call; builds the
+        whole view, a chunk of cells at a time, when there is none.  The
+        rows are written before their marks are cleared, so a reader
+        racing another sees either the marks or the rows.
+        """
+        rows, dirty = self._rows, self._dirty
+        words = self._block_words
+        if rows is None:
+            rows = np.empty((self._n_cells, words), dtype="<u8")
+            for start in range(0, self._n_cells, _BUILD_CELLS):
+                stop = min(start + _BUILD_CELLS, self._n_cells)
+                table = self._table_bytes(range(start, stop))
+                rows[start:stop] = np.frombuffer(table, dtype="<u8").reshape(-1, words)
+            self._rows, self._dirty = rows, set()
+        elif dirty:
+            cells = list(dirty)
+            rows[cells] = np.frombuffer(self._table_bytes(cells), dtype="<u8").reshape(-1, words)
+            dirty.difference_update(cells)
+        return rows
+
+    def _load_table(self, rows: np.ndarray) -> None:
+        """Adopt a (num_cells, words) uint64 wire table: cells and view."""
+        columns = [rows[:, word] for word in range(self._block_words)]
         used = self._block_size * self._f - 64 * (self._block_words - 1)
         if used < 64:
             padded = np.flatnonzero(columns[-1] >> np.uint64(used))
@@ -662,6 +713,7 @@ class CuckooFilter(_Addressing):
         self._cells = cells
         self._occupancy = bytearray(occupancy.tobytes())
         self._table_count = int(occupancy.sum())
+        self._rows, self._dirty = rows, set()
 
     def _load_stashes(self, data: bytes, offset: int) -> int:
         capacity = self.params.stash_capacity

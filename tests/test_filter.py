@@ -391,8 +391,9 @@ def test_query_many_matches_scalar_queries():
 
 
 def test_query_many_memory_stays_blocked():
-    # a 2^20-probe batch at b=8, f=16: chunked comparison keeps the
-    # temporaries to a few batch-sized arrays (hashes, alternates, answers)
+    # a 2^20-probe batch at b=8, f=16: chunked alternates and comparison
+    # keep the batch-sized arrays to the hashes and answers (2.125x); the
+    # view built here adds 1 MiB
     filt = make_filter(capacity=100_000, block_size=8, fingerprint_bits=16, num_subtables=1)
     assert filt.insert_many(np.arange(100_000, dtype=np.uint64)) == 100_000
     batch = np.arange(1 << 30, (1 << 30) + (1 << 20), dtype=np.uint64)
@@ -402,7 +403,7 @@ def test_query_many_memory_stays_blocked():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * batch.nbytes, f"peak {peak / batch.nbytes:.2f}x the batch"
+    assert peak < 3.5 * batch.nbytes, f"peak {peak / batch.nbytes:.2f}x the batch"
 
 
 def test_table_past_sys_maxsize_is_a_memory_error():

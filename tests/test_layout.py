@@ -5,13 +5,24 @@ where a slot can straddle a word boundary: at b=7, f=10 slot 6 holds bits
 60-69.  At b=8, f=16 a block is exactly two words with no padding, at
 b=13, f=12 three words (156 bits), and at b=4, f=16 one word whose top bit
 belongs to the last slot.
+
+Batch queries and ``to_bytes`` read the wire table from a view kept beside
+the cell ints.  The view tests check it after each kind of write against a
+twin filter that never reads through one, count the cells each read
+re-encodes, and guard the list of methods that write the cells.
 """
 
+import ast
 import hashlib
+import sys
+import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sckf import filter as filter_module
 from sckf import hashing
 from sckf.filter import (
     CuckooFilter,
@@ -218,3 +229,305 @@ def test_query_many_matches_scalar_across_chunk_edges(name):
     scalar = [filt.query(encode_u64(value)) for value in values.tolist()]
     for size in (chunk - 1, chunk, chunk + 1, total):
         assert filt.query_many(values[:size]).tolist() == scalar[:size], size
+
+
+# -- the wire-table view ------------------------------------------------------
+
+VIEW_GEOMETRIES = [(4, 12), (8, 16), (13, 12)]  # one, two and three wire words
+
+
+POOL_BASE = 2 * FILL_BASE
+
+
+class Homes:
+    """Fresh counters by home cell, for placing writes in chosen cells."""
+
+    def __init__(self, filt: CuckooFilter):
+        self.values = np.arange(POOL_BASE, POOL_BASE + 32 * filt.params.num_cells, dtype=np.uint64)
+        self.homes, self.fps = filt.hash_many(self.values)
+        self.taken: set[int] = set()
+
+    def take(self, cell: int, count: int) -> list[int]:
+        """count unused values whose home is cell."""
+        found = [v for v in self.values[self.homes == cell].tolist() if v not in self.taken]
+        assert len(found) >= count
+        self.taken.update(found[:count])
+        return found[:count]
+
+    def alt(self, value: int) -> int:
+        index = value - POOL_BASE
+        return int(self.homes[index] ^ self.fps[index])
+
+
+def afresh(filt: CuckooFilter) -> bytes:
+    """to_bytes() through a view built for this call alone."""
+    filt._rows = filt._dirty = None
+    payload = filt.to_bytes()
+    filt._rows = filt._dirty = None
+    return payload
+
+
+def view_pair(block_size: int, fingerprint_bits: int) -> tuple:
+    """A filter restored by from_bytes that has served a batch, and its twin.
+
+    Both hold the same members at load ~0.3, one subtable, stash 4.  The
+    twin never reads through a view.
+    """
+    params = FilterParams(
+        capacity=1000, block_size=block_size, fingerprint_bits=fingerprint_bits,
+        stash_capacity=4, seed=block_size * 1000 + fingerprint_bits,
+    )
+    twin = CuckooFilter(params)
+    members = FILL_BASE + np.arange(int(0.3 * params.total_slots), dtype=np.uint64)
+    assert twin.insert_many(members) == members.size
+    subject = CuckooFilter.from_bytes(afresh(twin))
+    assert subject.query_many(members).all()
+    return subject, twin, members
+
+
+def fill_cell(filters, homes: Homes, cell: int) -> list[int]:
+    """Fill one cell of every filter with values homed there."""
+    values = homes.take(cell, filters[0].params.block_size - filters[0]._occupancy[cell])
+    for filt in filters:
+        for value in values:
+            assert filt.insert(encode_u64(value)) is InsertOutcome.STORED
+    return values
+
+
+def empty_cell(filt: CuckooFilter, avoid) -> int:
+    return next(cell for cell, occ in enumerate(filt._occupancy) if not occ and cell not in avoid)
+
+
+@pytest.mark.parametrize("block_size,fingerprint_bits", VIEW_GEOMETRIES)
+def test_view_stays_current_after_every_kind_of_write(block_size, fingerprint_bits):
+    subject, twin, members = view_pair(block_size, fingerprint_bits)
+    filters = (subject, twin)
+    homes = Homes(subject)
+    written: list[int] = []
+
+    def check(step: str) -> None:
+        probes = np.concatenate([members[:: members.size // 500], np.array(written, dtype=np.uint64),
+                                 np.arange(5 * FILL_BASE, 5 * FILL_BASE + 500, dtype=np.uint64)])
+        scalar = [subject.query(encode_u64(value)) for value in probes.tolist()]
+        assert subject.query_many(probes).tolist() == scalar, step
+        assert all(scalar[-len(written) - 500 : -500]), step
+        assert subject.to_bytes() == afresh(twin), step
+
+    def each(write):
+        outcomes = [write(filt) for filt in filters]
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    # a direct insert into a cell with room
+    direct = homes.take(empty_cell(subject, ()), 1)[0]
+    assert each(lambda filt: filt.insert(encode_u64(direct))) is InsertOutcome.STORED
+    written.append(direct)
+    check("direct insert")
+
+    # an evicting insert: both candidate cells full
+    evicting = homes.take(empty_cell(subject, ()), 1)[0]
+    candidates = {int(homes.homes[evicting - POOL_BASE]), homes.alt(evicting)}
+    for cell in candidates:
+        written += fill_cell(filters, homes, cell)
+    check("candidate cells filled")
+    before = list(subject._cells)
+    assert each(lambda filt: filt.insert(encode_u64(evicting))) is InsertOutcome.STORED
+    moved = {cell for cell, old in enumerate(before) if subject._cells[cell] != old}
+    assert len(moved) >= 2 and candidates & moved, "the insert did not evict"
+    written.append(evicting)
+    check("evicting insert")
+
+    # a delete that leaves a hole: slot 0 of a full cell
+    holed = empty_cell(subject, candidates)
+    fillers = fill_cell(filters, homes, holed)
+    written += fillers[1:]
+    check("cell filled")
+    assert each(lambda filt: filt.delete(encode_u64(fillers[0])))
+    assert subject._cells[holed] >> subject._occupancy[holed] * fingerprint_bits, "no hole"
+    check("delete leaving a hole")
+
+    # a stash insert: with a budget of the two candidate cells alone there is no search
+    stashed = homes.take(empty_cell(subject, candidates | {holed}), 1)[0]
+    for cell in (int(homes.homes[stashed - POOL_BASE]), homes.alt(stashed)):
+        written += fill_cell(filters, homes, cell)
+    budget = subject.params.max_evictions
+    for filt in filters:
+        filt.params = replace(filt.params, max_evictions=2)
+    assert each(lambda filt: filt.insert(encode_u64(stashed))) is InsertOutcome.STASHED
+    for filt in filters:
+        filt.params = replace(filt.params, max_evictions=budget)
+    written.append(stashed)
+    check("stash insert")
+
+    # insert_many: appends, and the hole's cell through insert_hashed
+    batch = np.array(homes.take(holed, 1) + list(range(3 * FILL_BASE, 3 * FILL_BASE + 200)),
+                     dtype=np.uint64)
+    assert each(lambda filt: filt.insert_many(batch)) == batch.size
+    written += batch.tolist()
+    check("insert_many")
+
+
+class EncodeSpy:
+    """Records the cells each call of a filter's _table_bytes encodes."""
+
+    def __init__(self, filt: CuckooFilter):
+        self.cells: list[int] = []
+
+        def spy(cells):
+            cells = list(cells)
+            self.cells += cells
+            return CuckooFilter._table_bytes(filt, cells)
+
+        filt._table_bytes = spy
+
+    def take(self) -> list[int]:
+        cells, self.cells = self.cells, []
+        return cells
+
+
+def test_view_reencodes_only_the_cells_written():
+    subject, _, members = view_pair(4, 12)
+    homes = Homes(subject)
+    encoded = EncodeSpy(subject)
+    probes = members[:1000]
+
+    subject.query_many(probes)
+    subject.to_bytes()
+    subject.query_many(probes)
+    assert encoded.take() == [], "reads of an unchanged filter"
+
+    cell = empty_cell(subject, ())
+    value = homes.take(cell, 1)[0]
+    subject.insert(encode_u64(value))
+    subject.query_many(probes)
+    assert encoded.take() == [cell], "direct insert"
+    subject.to_bytes()
+    assert encoded.take() == []
+
+    subject.delete(encode_u64(value))
+    subject.to_bytes()
+    assert encoded.take() == [cell], "delete"
+
+    evicting = homes.take(empty_cell(subject, ()), 1)[0]
+    candidates = {int(homes.homes[evicting - POOL_BASE]), homes.alt(evicting)}
+    for cell in candidates:
+        fill_cell((subject,), homes, cell)
+    subject.query_many(probes)
+    assert set(encoded.take()) == candidates
+    before = list(subject._cells)
+    subject.insert(encode_u64(evicting))
+    path = {cell for cell, old in enumerate(before) if subject._cells[cell] != old}
+    assert len(path) >= 2 and candidates & path, "the insert did not evict"
+    subject.query_many(probes)
+    assert sorted(encoded.take()) == sorted(path), "evicting insert"
+
+    # insert_many does not track its appends: the next read builds the view anew
+    subject.insert_many(np.arange(3 * FILL_BASE, 3 * FILL_BASE + 100, dtype=np.uint64))
+    subject.to_bytes()
+    assert encoded.take() == list(range(subject.params.num_cells))
+    subject.to_bytes()
+    assert encoded.take() == []
+
+
+def test_reads_inside_insert_many_see_a_current_view():
+    subject, twin, members = view_pair(4, 12)
+    for value in members[::5].tolist():
+        assert subject.delete(encode_u64(value)) and twin.delete(encode_u64(value))
+    num_cells = subject.params.num_cells
+    current = []
+
+    def spy(home: int, fp: int) -> InsertOutcome:
+        # a read from inside the bulk loop's slow path
+        view = subject._wire_rows().tobytes()
+        current.append(view == CuckooFilter._table_bytes(subject, range(num_cells)))
+        return CuckooFilter.insert_hashed(subject, home, fp)
+
+    subject.insert_hashed = spy
+    values = np.arange(3 * FILL_BASE, 3 * FILL_BASE + 2000, dtype=np.uint64)
+    assert subject.insert_many(values) == twin.insert_many(values) == values.size
+    assert len(current) >= 2 and all(current)
+    assert subject.to_bytes() == afresh(twin)
+    assert subject.query_many(values).all()
+
+
+# every method that stores into the cell ints; each keeps the view current
+CELL_WRITERS = {"insert_hashed", "insert_many", "_remove_from_cell", "_load_table"}
+LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+                 "__setitem__", "__delitem__", "__iadd__"}
+
+
+def _cell_stores(function: ast.FunctionDef) -> bool:
+    """Whether a function stores into (or rebinds) a `_cells` list."""
+    aliases = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            pairs = [(node.targets[0], node.value)]
+            if isinstance(node.targets[0], ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(node.targets[0].elts, node.value.elts)
+            for target, value in pairs:
+                if isinstance(target, ast.Name) and isinstance(value, ast.Attribute) and value.attr == "_cells":
+                    aliases.add(target.id)
+        elif isinstance(node, ast.NamedExpr) and isinstance(node.value, ast.Attribute):
+            if node.value.attr == "_cells":
+                aliases.add(node.target.id)
+
+    def is_cells(node: ast.expr) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "_cells") or (
+            isinstance(node, ast.Name) and node.id in aliases
+        )
+
+    for node in ast.walk(function):
+        if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if isinstance(node, ast.Subscript) and is_cells(node.value):
+                return True
+            if isinstance(node, ast.Attribute) and node.attr == "_cells" and function.name != "__init__":
+                return True
+        if isinstance(node, ast.AugAssign) and is_cells(node.target):
+            return True
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in LIST_MUTATORS and is_cells(node.func.value):
+                return True
+    return False
+
+
+def test_only_known_writers_store_into_the_cells():
+    tree = ast.parse(Path(filter_module.__file__).read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    writers = {function.name for function in functions if _cell_stores(function)}
+    assert writers == CELL_WRITERS
+
+
+def test_concurrent_readers_see_a_current_view():
+    # readers with no writer may race to refresh or build the view; each
+    # must still read the whole current table
+    subject, twin, members = view_pair(4, 12)
+    probes = members[:2000]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(16):
+            values = np.arange(3 * FILL_BASE + 500 * round_, 3 * FILL_BASE + 500 * (round_ + 1),
+                               dtype=np.uint64)
+            for filt in (subject, twin):
+                if round_ % 4 == 3:
+                    filt.insert_many(values)  # no view left: the readers build one
+                else:
+                    for value in values.tolist():  # marked cells: the readers refresh them
+                        filt.insert(encode_u64(value))
+            expected = afresh(twin)
+            reads = []
+            start = threading.Barrier(6, timeout=60)
+
+            def read():
+                start.wait()
+                reads.append((subject.to_bytes() == expected, bool(subject.query_many(probes).all())))
+
+            threads = [threading.Thread(target=read) for _ in range(start.parties)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert reads == [(True, True)] * len(threads), round_
+    finally:
+        sys.setswitchinterval(interval)
