@@ -30,12 +30,10 @@ hole and a pair of full cells go to ``insert_hashed``.
 
 Batch queries and ``to_bytes`` read a derived view of the cell ints: the
 v1 wire table as a ``(num_cells, words)`` uint64 array, ``8 * words``
-bytes per cell.  ``from_bytes`` adopts the table it decoded as the view;
-otherwise the first batch read builds it.  While a view exists,
-``insert_hashed`` and ``delete`` mark each cell they write, and the next
-batch read re-encodes just those cells.  ``insert_many`` does not track
-its appends: it drops the view, and the next batch read builds it anew.
-Scalar operations read and write only the cell ints.
+bytes per cell.  Every write to a cell int sets the cell's stale flag,
+and each batch read re-encodes the flagged cells.  ``from_bytes`` adopts
+the table it decoded as the view, with no flag set; otherwise the first
+batch read allocates it and encodes the occupied cells.
 
 ``insert_hashed`` takes a global home index in [0, num_cells) and a
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
@@ -51,14 +49,15 @@ a rate bounded by ``2n / (num_cells * (2**fingerprint_bits - 1))``.
 A filter instance is not thread-safe for writes; concurrent experiments
 should use one instance per worker.  Batch reads refresh the view, so they
 write to the instance too, but concurrent readers with no writer stay
-safe: a refresh writes the same bytes whoever runs it.  Instances are
-plain Python state and move freely between threads or processes.
+safe: a refresh writes the same bytes whoever runs it (see _wire_rows).
+Instances are plain Python state and move freely between threads or
+processes.
 """
 
 import enum
 import operator
+import os
 import struct
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,8 +77,8 @@ _HEADER = struct.Struct("<4sBBBBIIQQ")
 _STASH_COUNT = struct.Struct("<H")
 _STASH_ENTRY = struct.Struct("<II")
 
-# cells encoded per step of a view build: each step's per-cell bytes objects
-# stay near 64 KiB (2^15-cell steps peaked at 4 MiB for a 224 KiB view)
+# cells encoded per step of a view refresh: each step's per-cell bytes
+# objects stay near 64 KiB (2^15-cell steps peaked at 4 MiB for a 224 KiB view)
 _BUILD_CELLS = 1 << 10
 
 # sub-seed stream indexes of the master seed
@@ -285,9 +284,12 @@ class CuckooFilter(_Addressing):
     """
 
     def __init__(self, params: FilterParams):
-        if params.num_cells > sys.maxsize:
-            # past this a list or bytearray of num_cells cannot even be sized
-            raise MemoryError(f"num_cells {params.num_cells} exceeds sys.maxsize {sys.maxsize}")
+        # a list slot, an occupancy byte and a stale flag per cell, refused
+        # before a list that size starts to fill the machine
+        need = params.num_cells * (struct.calcsize("P") + 2)
+        if need > (memory := os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")):
+            raise MemoryError(f"num_cells {params.num_cells} needs {need} bytes, "
+                              f"above physical memory {memory}")
         super().__init__(params)
         self._block_size = params.block_size
         self._block_words = _dense_words_per_block(params.block_size, self._f)
@@ -295,10 +297,10 @@ class CuckooFilter(_Addressing):
         self._cells = [0] * self._n_cells
         # one byte per cell: a zero-lane fullness test on the cell int instead fills ~18% slower
         self._occupancy = bytearray(self._n_cells)
-        # the wire-table view and the cells written since it was current;
-        # both None when there is no view (see _wire_rows)
+        # every write to a cell sets its flag; the next batch read clears it
+        self._stale = bytearray(self._n_cells)
+        # the wire-table view, None until the first batch read (see _wire_rows)
         self._rows: np.ndarray | None = None
-        self._dirty: set[int] | None = None
         self._stashes: list[list[tuple[int, int]]] = [[] for _ in range(params.num_subtables)]
         self._table_count = 0
         self._stash_count = 0
@@ -354,11 +356,9 @@ class CuckooFilter(_Addressing):
         # else slots [0, occ) are full and the rest empty: append at occ
         occupancy[cell] = occ + 1
         self._table_count += 1
-        dirty = self._dirty
+        self._stale[cell] = 1
         if came_from is None:
             cells[cell] = stored | fingerprint << slot * f
-            if dirty is not None:
-                dirty.add(cell)
             return InsertOutcome.STORED
         # leaf-first, each fingerprint on the path steps into the slot vacated
         # after it; every cell but the leaf was full, so nothing else changes
@@ -366,12 +366,9 @@ class CuckooFilter(_Addressing):
             source, source_slot = step
             moved = (cells[source] >> source_slot * f) & self._fp_mask
             cells[cell] = bitmatch.write_lane(cells[cell], slot, f, moved)
-            if dirty is not None:
-                dirty.add(cell)
             cell, slot = step
+            self._stale[cell] = 1
         cells[cell] = bitmatch.write_lane(cells[cell], slot, f, fingerprint)
-        if dirty is not None:
-            dirty.add(cell)
         return InsertOutcome.STORED
 
     def insert_many(self, values: np.ndarray) -> int:
@@ -389,34 +386,29 @@ class CuckooFilter(_Addressing):
         del values
         cells = self._cells
         occupancy = self._occupancy
+        stale = self._stale
         block = self._block_size
         f = self._f
         alt = self._alt
-        insert = self.insert_hashed
-        failed = InsertOutcome.FAILED
-        appended = 0
-        try:
-            for done, (home, fp) in enumerate(zip(homes.tolist(), fps.tolist())):
-                cell = home
+        landed = self.stored_count  # table and stash entries before this batch
+        for done, (home, fp) in enumerate(zip(homes.tolist(), fps.tolist())):
+            cell = home
+            occ = occupancy[cell]
+            if occ == block:
+                cell = alt(home, fp)
                 occ = occupancy[cell]
-                if occ == block:
-                    cell = alt(home, fp)
-                    occ = occupancy[cell]
-                shift = occ * f
-                stored = cells[cell]
-                if occ < block and not stored >> shift:
-                    cells[cell] = stored | fp << shift
-                    occupancy[cell] = occ + 1
-                    appended += 1
-                    continue
-                # appends are not marked, so any view is stale by now: drop
-                # it before insert_hashed (or a read inside it) can use it
-                self._rows = self._dirty = None
-                if insert(home, fp) is failed:
-                    return done
-        finally:
-            self._table_count += appended
-            self._rows = self._dirty = None
+            shift = occ * f
+            stored = cells[cell]
+            if occ < block and not stored >> shift:
+                cells[cell] = stored | fp << shift
+                occupancy[cell] = occ + 1
+                stale[cell] = 1
+                continue
+            # the `done` values before this one all landed: count them before insert_hashed reads
+            self._table_count = landed + done - self._stash_count
+            if self.insert_hashed(home, fp) is InsertOutcome.FAILED:
+                return done
+        self._table_count = landed + len(homes) - self._stash_count
         return len(homes)
 
     def query(self, element: bytes) -> bool:
@@ -517,8 +509,7 @@ class CuckooFilter(_Addressing):
         if slot is None:
             return False
         self._cells[cell] = bitmatch.write_lane(self._cells[cell], slot, self._f, 0)
-        if self._dirty is not None:
-            self._dirty.add(cell)
+        self._stale[cell] = 1
         self._occupancy[cell] -= 1
         self._table_count -= 1
         return True
@@ -615,12 +606,18 @@ class CuckooFilter(_Addressing):
         The wire format carries no planned capacity or eviction budget;
         those come back as the physical slot count and the default.
         """
-        if not isinstance(data, (bytes, bytearray, memoryview)):
+        if isinstance(data, memoryview):
+            if not data.c_contiguous:
+                raise TypeError("payload memoryview must be C-contiguous; copy it with bytes() first")
+            # lengths and offsets below count bytes, whatever the view's item format
+            data = data.cast("B")
+        elif not isinstance(data, (bytes, bytearray)):
             raise TypeError(f"payload must be bytes-like, not {type(data).__name__}")
         if len(data) < len(SERIAL_MAGIC):
             raise TruncatedError("payload shorter than the magic prefix")
-        if data[: len(SERIAL_MAGIC)] != SERIAL_MAGIC:
-            raise BadMagicError(f"bad magic {data[:4]!r}, expected {SERIAL_MAGIC!r}")
+        magic = bytes(data[: len(SERIAL_MAGIC)])
+        if magic != SERIAL_MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}, expected {SERIAL_MAGIC!r}")
         if len(data) < len(SERIAL_MAGIC) + 1:
             raise TruncatedError("payload ends before the version byte")
         version = data[len(SERIAL_MAGIC)]
@@ -674,24 +671,27 @@ class CuckooFilter(_Addressing):
     def _wire_rows(self) -> np.ndarray:
         """The wire-table view, brought up to date with the cell ints.
 
-        Re-encodes only the cells marked since the last call; builds the
-        whole view, a chunk of cells at a time, when there is none.  The
-        rows are written before their marks are cleared, so a reader
-        racing another sees either the marks or the rows.
+        Re-encodes flagged cells a chunk at a time, writing rows before
+        clearing flags, so a racing reader sees either the flag or the row.
+        A first call encodes the occupied cells into a zero view, as a
+        racing first call may have cleared their flags.
         """
-        rows, dirty = self._rows, self._dirty
-        words = self._block_words
+        rows = self._rows
+        if rows is not None and 1 not in self._stale:
+            return rows  # a memchr, ~12x faster than the numpy scan below
+        flags = np.frombuffer(self._stale, dtype=np.uint8)
         if rows is None:
-            rows = np.empty((self._n_cells, words), dtype="<u8")
-            for start in range(0, self._n_cells, _BUILD_CELLS):
-                stop = min(start + _BUILD_CELLS, self._n_cells)
-                table = self._table_bytes(range(start, stop))
-                rows[start:stop] = np.frombuffer(table, dtype="<u8").reshape(-1, words)
-            self._rows, self._dirty = rows, set()
-        elif dirty:
-            cells = list(dirty)
-            rows[cells] = np.frombuffer(self._table_bytes(cells), dtype="<u8").reshape(-1, words)
-            dirty.difference_update(cells)
+            rows = np.zeros((self._n_cells, self._block_words), dtype="<u8")
+            written = np.frombuffer(self._occupancy, dtype=np.uint8) != 0
+        else:
+            written = flags != 0  # a snapshot: racing readers clear flags while it is scanned
+        cells = np.flatnonzero(written)
+        for start in range(0, cells.size, _BUILD_CELLS):
+            part = cells[start : start + _BUILD_CELLS]
+            table = self._table_bytes(part.tolist())
+            rows[part] = np.frombuffer(table, dtype="<u8").reshape(part.size, -1)
+            flags[part] = 0
+        self._rows = rows
         return rows
 
     def _load_table(self, rows: np.ndarray) -> None:
@@ -713,7 +713,7 @@ class CuckooFilter(_Addressing):
         self._cells = cells
         self._occupancy = bytearray(occupancy.tobytes())
         self._table_count = int(occupancy.sum())
-        self._rows, self._dirty = rows, set()
+        self._rows = rows
 
     def _load_stashes(self, data: bytes, offset: int) -> int:
         capacity = self.params.stash_capacity

@@ -19,14 +19,13 @@ identical seeds.
 import csv
 import io
 import json
-import math
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import bitmatch, bloom, hashing, planner
-from .filter import MAX_SUBTABLES, CuckooFilter, FilterParams, Variant, check_block_size, check_count
+from . import bloom, hashing, planner
+from .filter import CuckooFilter, FilterParams, Variant, check_count
 
 
 @dataclass
@@ -116,18 +115,6 @@ def insert_members(filt: CuckooFilter, n: int) -> int:
     """Insert counters [0, n); returns how many were inserted before a
     failure (n means all landed, in table or stash)."""
     return filt.insert_many(member_values(n))
-
-
-def subtables_for_load(n: int, block_size: int, fingerprint_bits: int, load: float) -> int:
-    """Fewest subtables so that n elements sit at or below the target load."""
-    check_block_size(block_size)
-    bitmatch.check_width(fingerprint_bits)
-    planner.check_load(load)
-    per_subtable = (1 << fingerprint_bits) * block_size * load
-    # compared before dividing: a subnormal load makes n / per_subtable infinite
-    if n > MAX_SUBTABLES * per_subtable:
-        raise ValueError(f"n needs more than the {MAX_SUBTABLES} subtables the wire format holds")
-    return max(1, math.ceil(n / per_subtable))
 
 
 def _achievable_load(block_size: int) -> float:
@@ -250,7 +237,7 @@ def run_load_sweep(
     records = []
     guaranteed = _achievable_load(block_size)
     for load in loads:
-        subtables = subtables_for_load(n, block_size, fingerprint_bits, load)
+        subtables = planner.subtables_for_load(n, block_size, fingerprint_bits, load)
         if variant is Variant.ORIGINAL:
             subtables = _next_power_of_two(subtables)
         records.append(
@@ -285,7 +272,7 @@ def run_failure_sweep(
     )
     for bits in fingerprint_grid:
         bound = n ** -1.0 if bits >= recommended else 1.0
-        subtables = subtables_for_load(n, block_size, bits, load)
+        subtables = planner.subtables_for_load(n, block_size, bits, load)
         record = _construction_record(
             "failsweep", Variant.SIMPLIFIED, n, block_size, bits,
             subtables, trials, base_seed, bound,

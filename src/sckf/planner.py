@@ -225,14 +225,7 @@ def plan(request: PlanRequest) -> PlanResult:
         )
 
     subtable_cells = 1 << bits
-    # compared before dividing: n may be too large for a float
-    if n > MAX_SUBTABLES * subtable_cells * block * load:
-        raise InfeasiblePlanError(
-            f"n needs more than the {MAX_SUBTABLES} subtables the wire format holds"
-        )
-    num_subtables = max(1, math.ceil(n / (block * load * subtable_cells)))
-    while num_subtables * subtable_cells * block * load < n:
-        num_subtables += 1
+    num_subtables = subtables_for_load(n, block, bits, load)
     num_cells = num_subtables * subtable_cells
 
     result = PlanResult(
@@ -253,6 +246,25 @@ def plan(request: PlanRequest) -> PlanResult:
     )
     _verify(result, request)
     return result
+
+
+def subtables_for_load(n: int, block_size: int, fingerprint_bits: int, load: float) -> int:
+    """Fewest subtables so that n elements sit at or below the target load."""
+    check_block_size(block_size)
+    check_width(fingerprint_bits)
+    check_load(load)
+    slots = (1 << fingerprint_bits) * block_size
+    # compared before dividing: n may be too large for a float, and a
+    # subnormal load makes n / (slots * load) infinite
+    if n > MAX_SUBTABLES * slots * load:
+        raise InfeasiblePlanError(
+            f"n needs more than the {MAX_SUBTABLES} subtables the wire format holds"
+        )
+    subtables = max(1, math.ceil(n / (slots * load)))
+    # the quotient may round down; count with the product _verify checks
+    while subtables * slots * load < n:
+        subtables += 1
+    return subtables
 
 
 def _verify(result: PlanResult, request: PlanRequest) -> None:

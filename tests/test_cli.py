@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sckf import bitmatch, cli, planner
+from sckf import filter as filter_module
 from sckf.filter import (
     CuckooFilter,
     check_block_size,
@@ -99,6 +100,18 @@ def test_table_too_large_for_memory_exits_two(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(CuckooFilter, "__init__", refuse)
     code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "infeasible: the experiment does not fit in memory\n"
+
+
+def test_table_past_physical_memory_exits_two(capsys, monkeypatch):
+    # 10^9 cells on a 1 GiB machine: refused before the cell list is built
+    pages = {"SC_PHYS_PAGES": 1 << 18, "SC_PAGE_SIZE": 1 << 12}
+    monkeypatch.setattr(filter_module.os, "sysconf", pages.__getitem__)
+    assert planner.subtables_for_load(100, 1, 2, 1e-7) * 4 == 10**9
+    code, out, err = run(["loadsweep", "--n", "100", "--b", "1", "--f", "2", "--loads", "1e-7",
+                          "--trials", "1"], capsys)
     assert code == 2
     assert out == ""
     assert err == "infeasible: the experiment does not fit in memory\n"

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HEADER_SIZE, BlockedCuckooTable, counters, insert_each, wire_blocks
+from sckf import filter as filter_module
 from sckf import planner
 from sckf.bloom import BloomFilter
 from sckf.filter import (
@@ -411,6 +412,16 @@ def test_table_past_sys_maxsize_is_a_memory_error():
     assert params.num_cells > sys.maxsize
     with pytest.raises(MemoryError, match="num_cells"):
         CuckooFilter(params)
+
+
+def test_table_past_physical_memory_is_a_memory_error(monkeypatch):
+    # a 1 GiB machine: 2^27 cells at 8 + 2 bytes each do not fit, 2^16 do
+    pages = {"SC_PHYS_PAGES": 1 << 18, "SC_PAGE_SIZE": 1 << 12}
+    monkeypatch.setattr(filter_module.os, "sysconf", pages.__getitem__)
+    params = FilterParams(capacity=100, block_size=4, fingerprint_bits=16, num_subtables=1 << 11)
+    with pytest.raises(MemoryError, match="num_cells 134217728 needs .* physical memory"):
+        CuckooFilter(params)
+    assert CuckooFilter(FilterParams(capacity=100, block_size=4, fingerprint_bits=16)).stored_count == 0
 
 
 def _stashed_filter() -> CuckooFilter:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from sckf import harness
+from sckf import harness, planner
 from sckf.filter import Variant
 from sckf.harness import TrialRecord
 
@@ -112,13 +112,13 @@ def test_insert_members_reports_count():
 def test_subtables_for_load():
     # n / (subtables * 2^f * b) must not exceed the target load
     for n, b, f, load in [(10**4, 4, 8, 0.9), (10**5, 8, 10, 0.5), (100, 4, 12, 0.3)]:
-        subtables = harness.subtables_for_load(n, b, f, load)
+        subtables = planner.subtables_for_load(n, b, f, load)
         assert n / (subtables * (1 << f) * b) <= load * (1 + 1e-12)
         if subtables > 1:
             assert n / ((subtables - 1) * (1 << f) * b) > load
     # a subnormal load passes check_load, but n / per_subtable would be infinite
     with pytest.raises(ValueError, match="subtables the wire format holds"):
-        harness.subtables_for_load(100, 4, 8, 1e-320)
+        planner.subtables_for_load(100, 4, 8, 1e-320)
 
 
 @pytest.mark.parametrize(

@@ -261,9 +261,9 @@ class Homes:
 
 def afresh(filt: CuckooFilter) -> bytes:
     """to_bytes() through a view built for this call alone."""
-    filt._rows = filt._dirty = None
+    filt._rows = None
     payload = filt.to_bytes()
-    filt._rows = filt._dirty = None
+    filt._rows = None
     return payload
 
 
@@ -421,10 +421,12 @@ def test_view_reencodes_only_the_cells_written():
     subject.query_many(probes)
     assert sorted(encoded.take()) == sorted(path), "evicting insert"
 
-    # insert_many does not track its appends: the next read builds the view anew
+    # insert_many flags each cell it appends to, and those it reaches through insert_hashed
+    before = list(subject._cells)
     subject.insert_many(np.arange(3 * FILL_BASE, 3 * FILL_BASE + 100, dtype=np.uint64))
+    changed = [cell for cell, old in enumerate(before) if subject._cells[cell] != old]
     subject.to_bytes()
-    assert encoded.take() == list(range(subject.params.num_cells))
+    assert sorted(encoded.take()) == changed, "insert_many"
     subject.to_bytes()
     assert encoded.take() == []
 
@@ -437,27 +439,31 @@ def test_reads_inside_insert_many_see_a_current_view():
     current = []
 
     def spy(home: int, fp: int) -> InsertOutcome:
-        # a read from inside the bulk loop's slow path
+        # reads from inside the bulk loop's slow path: the view, the counts, a round trip
         view = subject._wire_rows().tobytes()
-        current.append(view == CuckooFilter._table_bytes(subject, range(num_cells)))
+        counted = subject.stored_count == sum(subject._occupancy) + subject.stash_count
+        payload = subject.to_bytes()
+        current.append((view == CuckooFilter._table_bytes(subject, range(num_cells)), counted,
+                        CuckooFilter.from_bytes(payload).to_bytes() == payload))
         return CuckooFilter.insert_hashed(subject, home, fp)
 
     subject.insert_hashed = spy
     values = np.arange(3 * FILL_BASE, 3 * FILL_BASE + 2000, dtype=np.uint64)
     assert subject.insert_many(values) == twin.insert_many(values) == values.size
-    assert len(current) >= 2 and all(current)
+    assert len(current) >= 2 and current == [(True, True, True)] * len(current)
     assert subject.to_bytes() == afresh(twin)
     assert subject.query_many(values).all()
 
 
-# every method that stores into the cell ints; each keeps the view current
+# every method that stores into the cell ints; each but _load_table, which
+# adopts its view, flags the cells it writes
 CELL_WRITERS = {"insert_hashed", "insert_many", "_remove_from_cell", "_load_table"}
 LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
                  "__setitem__", "__delitem__", "__iadd__"}
 
 
-def _cell_stores(function: ast.FunctionDef) -> bool:
-    """Whether a function stores into (or rebinds) a `_cells` list."""
+def _cell_stores(function: ast.FunctionDef, attr: str = "_cells") -> bool:
+    """Whether a function stores into (or rebinds) the list or buffer `attr`."""
     aliases = set()
     for node in ast.walk(function):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -465,14 +471,14 @@ def _cell_stores(function: ast.FunctionDef) -> bool:
             if isinstance(node.targets[0], ast.Tuple) and isinstance(node.value, ast.Tuple):
                 pairs = zip(node.targets[0].elts, node.value.elts)
             for target, value in pairs:
-                if isinstance(target, ast.Name) and isinstance(value, ast.Attribute) and value.attr == "_cells":
+                if isinstance(target, ast.Name) and isinstance(value, ast.Attribute) and value.attr == attr:
                     aliases.add(target.id)
         elif isinstance(node, ast.NamedExpr) and isinstance(node.value, ast.Attribute):
-            if node.value.attr == "_cells":
+            if node.value.attr == attr:
                 aliases.add(node.target.id)
 
     def is_cells(node: ast.expr) -> bool:
-        return (isinstance(node, ast.Attribute) and node.attr == "_cells") or (
+        return (isinstance(node, ast.Attribute) and node.attr == attr) or (
             isinstance(node, ast.Name) and node.id in aliases
         )
 
@@ -480,7 +486,7 @@ def _cell_stores(function: ast.FunctionDef) -> bool:
         if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, (ast.Store, ast.Del)):
             if isinstance(node, ast.Subscript) and is_cells(node.value):
                 return True
-            if isinstance(node, ast.Attribute) and node.attr == "_cells" and function.name != "__init__":
+            if isinstance(node, ast.Attribute) and node.attr == attr and function.name != "__init__":
                 return True
         if isinstance(node, ast.AugAssign) and is_cells(node.target):
             return True
@@ -495,6 +501,8 @@ def test_only_known_writers_store_into_the_cells():
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     writers = {function.name for function in functions if _cell_stores(function)}
     assert writers == CELL_WRITERS
+    flagging = {function.name for function in functions if _cell_stores(function, "_stale")}
+    assert CELL_WRITERS - {"_load_table"} <= flagging
 
 
 def test_concurrent_readers_see_a_current_view():
@@ -505,24 +513,37 @@ def test_concurrent_readers_see_a_current_view():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for round_ in range(16):
+        for round_ in range(17):
             values = np.arange(3 * FILL_BASE + 500 * round_, 3 * FILL_BASE + 500 * (round_ + 1),
                                dtype=np.uint64)
+            if round_ == 16:
+                # a subject never read: the readers race to build its first
+                # view, about ten chunks of occupied cells
+                params = replace(twin.params, fingerprint_bits=14)
+                subject, twin = CuckooFilter(params), CuckooFilter(params)
+                values = probes = np.arange(4 * FILL_BASE, 4 * FILL_BASE + 16000, dtype=np.uint64)
             for filt in (subject, twin):
                 if round_ % 4 == 3:
-                    filt.insert_many(values)  # no view left: the readers build one
+                    filt.insert_many(values)  # flagged appends: the readers refresh them
                 else:
-                    for value in values.tolist():  # marked cells: the readers refresh them
+                    for value in values.tolist():  # flagged cells: the readers refresh them
                         filt.insert(encode_u64(value))
             expected = afresh(twin)
             reads = []
             start = threading.Barrier(6, timeout=60)
 
-            def read():
+            def read(batch_first: bool):
+                # a batch read hashes its probes first, so it reaches the view
+                # while the other readers are inside theirs
                 start.wait()
-                reads.append((subject.to_bytes() == expected, bool(subject.query_many(probes).all())))
+                if batch_first:
+                    hits = bool(subject.query_many(probes).all())
+                    reads.append((subject.to_bytes() == expected, hits))
+                else:
+                    payload = subject.to_bytes()
+                    reads.append((payload == expected, bool(subject.query_many(probes).all())))
 
-            threads = [threading.Thread(target=read) for _ in range(start.parties)]
+            threads = [threading.Thread(target=read, args=(index % 2,)) for index in range(start.parties)]
             for thread in threads:
                 thread.start()
             for thread in threads:

@@ -208,6 +208,20 @@ def test_plan_fills_subtables_consistently():
             )
 
 
+def test_plan_sizes_subtables_with_the_shared_rule():
+    for n in (10**3, 10**5):
+        for b in (4, 8):
+            result = plan(PlanRequest(n=n, block_size=b))
+            assert result.num_subtables == planner.subtables_for_load(
+                n, b, result.fingerprint_bits, result.load_factor
+            )
+    # a subnormal load passes check_load, but n / (slots * load) would be infinite
+    with pytest.raises(InfeasiblePlanError, match="subtables the wire format holds"):
+        planner.subtables_for_load(100, 4, 8, 1e-320)
+    with pytest.raises(ValueError, match="load"):
+        planner.subtables_for_load(100, 4, 8, 0.0)
+
+
 def test_plan_respects_target_rate():
     result = plan(PlanRequest(n=10**4, block_size=8, target_fp_rate=1e-6))
     assert result.rate_bits >= result.balance_bits

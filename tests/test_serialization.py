@@ -114,6 +114,24 @@ def test_non_bytes_payload_is_type_error():
         assert CuckooFilter.from_bytes(view).to_bytes() == payload
 
 
+@pytest.mark.parametrize("item", ["H", "I", "Q"])
+def test_cast_memoryview_payload_is_read_as_bytes(item):
+    # 32 + 4 * 2^8 * 8 + 4 * 2 = 8,232 bytes, a whole number of each item size
+    filt = small_filter(block_size=4, fingerprint_bits=8, num_subtables=4, capacity=4096, seed=5)
+    assert filt.insert_many(range(2000)) == 2000
+    payload = filt.to_bytes()
+    assert len(payload) == 8232
+    assert CuckooFilter.from_bytes(memoryview(payload).cast(item)).to_bytes() == payload
+    with pytest.raises(BadMagicError, match=r"bad magic b'XCKF'"):
+        CuckooFilter.from_bytes(memoryview(b"X" + payload[1:]).cast(item))
+
+
+def test_strided_memoryview_payload_is_type_error():
+    payload = small_filter(seed=3).to_bytes()
+    with pytest.raises(TypeError, match="C-contiguous"):
+        CuckooFilter.from_bytes(memoryview(payload + payload)[::2])
+
+
 def test_missing_version_byte():
     payload = small_filter().to_bytes()
     with pytest.raises(TruncatedError):

@@ -9,8 +9,8 @@ fill through the ``fill`` rule's runs of consecutive values, so batch
 queries and round trips also meet holes and evictions in multi-word blocks.
 The ``bulk_fill`` rule runs the same runs through ``insert_many`` and checks
 it against a scalar insert loop on a copy, in whatever state the table is.
-Round trips and batch queries leave the filter a wire-table view, which
-every later kind of write must keep current.
+An invariant reads the wire-table view after every step, so every later
+kind of write meets a view and must flag the cells it writes.
 """
 
 from collections import Counter
@@ -103,9 +103,9 @@ class FilterMachine(RuleBasedStateMachine):
 
     @invariant()
     def view_matches_cells(self):
+        # builds the view on the first step, so every later write meets one
         filt = self.filt
-        if filt._rows is not None:
-            assert filt._wire_rows().tobytes() == filt._table_bytes(range(filt.params.num_cells))
+        assert filt._wire_rows().tobytes() == filt._table_bytes(range(filt.params.num_cells))
 
     @invariant()
     def no_false_negatives(self):
