@@ -30,10 +30,10 @@ hole and a pair of full cells go to ``insert_hashed``.
 
 Batch queries and ``to_bytes`` read a derived view of the cell ints: the
 v1 wire table as a ``(num_cells, words)`` uint64 array, ``8 * words``
-bytes per cell.  Every write to a cell int sets the cell's stale flag,
-and each batch read re-encodes the flagged cells.  ``from_bytes`` adopts
-the table it decoded as the view, with no flag set; otherwise the first
-batch read allocates it and encodes the occupied cells.
+bytes per cell, allocated zero with the table.  Every write to a cell int
+sets the cell's stale flag, and each batch read re-encodes the flagged
+cells.  ``from_bytes`` decodes the payload's table into the view and
+derives the cell ints from it, with no flag set.
 
 ``insert_hashed`` takes a global home index in [0, num_cells) and a
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
@@ -284,23 +284,25 @@ class CuckooFilter(_Addressing):
     """
 
     def __init__(self, params: FilterParams):
-        # a list slot, an occupancy byte and a stale flag per cell, refused
-        # before a list that size starts to fill the machine
-        need = params.num_cells * (struct.calcsize("P") + 2)
+        # a list slot, a view row, an occupancy byte and a stale flag per
+        # cell, refused before a list that size starts to fill the machine
+        words = _dense_words_per_block(params.block_size, params.fingerprint_bits)
+        need = params.num_cells * (struct.calcsize("P") + 8 * words + 2)
         if need > (memory := os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")):
             raise MemoryError(f"num_cells {params.num_cells} needs {need} bytes, "
                               f"above physical memory {memory}")
         super().__init__(params)
         self._block_size = params.block_size
-        self._block_words = _dense_words_per_block(params.block_size, self._f)
+        self._block_words = words
         self._lane_const = bitmatch.make_lane_constant(self._f, params.block_size)
         self._cells = [0] * self._n_cells
         # one byte per cell: a zero-lane fullness test on the cell int instead fills ~18% slower
         self._occupancy = bytearray(self._n_cells)
         # every write to a cell sets its flag; the next batch read clears it
         self._stale = bytearray(self._n_cells)
-        # the wire-table view, None until the first batch read (see _wire_rows)
-        self._rows: np.ndarray | None = None
+        # the wire-table view (see _wire_rows), zero like the empty cells:
+        # zero pages cost nothing until a row is written
+        self._rows = np.zeros((self._n_cells, words), dtype="<u8")
         self._stashes: list[list[tuple[int, int]]] = [[] for _ in range(params.num_subtables)]
         self._table_count = 0
         self._stash_count = 0
@@ -642,17 +644,17 @@ class CuckooFilter(_Addressing):
             )
         except ValueError as exc:
             raise SerializationError(f"invalid geometry in header: {exc}") from exc
-        dense_words = _dense_words_per_block(block, f)
-        table_bytes = params.num_cells * dense_words * 8
+        table_bytes = params.num_cells * _dense_words_per_block(block, f) * 8
         offset = _HEADER.size
         if len(data) < offset + table_bytes:
             raise TruncatedError(
                 f"table needs {table_bytes} bytes, got {len(data) - offset}"
             )
         filt = cls(params)
-        # one copy of the payload's table, which the filter keeps as its view
-        rows = np.frombuffer(data, dtype="<u8", count=table_bytes // 8, offset=offset)
-        filt._load_table(rows.reshape(params.num_cells, dense_words).copy())
+        # one copy of the payload's table, into the filter's view
+        table = np.frombuffer(data, dtype="<u8", count=table_bytes // 8, offset=offset)
+        filt._rows[:] = table.reshape(filt._rows.shape)
+        filt._load_table()
         offset += table_bytes
         offset = filt._load_stashes(data, offset)
         if offset != len(data):
@@ -673,30 +675,22 @@ class CuckooFilter(_Addressing):
 
         Re-encodes flagged cells a chunk at a time, writing rows before
         clearing flags, so a racing reader sees either the flag or the row.
-        A first call encodes the occupied cells into a zero view, as a
-        racing first call may have cleared their flags.
         """
         rows = self._rows
-        if rows is not None and 1 not in self._stale:
+        if 1 not in self._stale:
             return rows  # a memchr, ~12x faster than the numpy scan below
         flags = np.frombuffer(self._stale, dtype=np.uint8)
-        if rows is None:
-            rows = np.zeros((self._n_cells, self._block_words), dtype="<u8")
-            written = np.frombuffer(self._occupancy, dtype=np.uint8) != 0
-        else:
-            written = flags != 0  # a snapshot: racing readers clear flags while it is scanned
-        cells = np.flatnonzero(written)
+        cells = np.flatnonzero(flags != 0)  # a snapshot: racing readers clear flags as it is scanned
         for start in range(0, cells.size, _BUILD_CELLS):
             part = cells[start : start + _BUILD_CELLS]
             table = self._table_bytes(part.tolist())
             rows[part] = np.frombuffer(table, dtype="<u8").reshape(part.size, -1)
             flags[part] = 0
-        self._rows = rows
         return rows
 
-    def _load_table(self, rows: np.ndarray) -> None:
-        """Adopt a (num_cells, words) uint64 wire table: cells and view."""
-        columns = [rows[:, word] for word in range(self._block_words)]
+    def _load_table(self) -> None:
+        """Derive the cell ints and occupancy from the wire-table view."""
+        columns = [self._rows[:, word] for word in range(self._block_words)]
         used = self._block_size * self._f - 64 * (self._block_words - 1)
         if used < 64:
             padded = np.flatnonzero(columns[-1] >> np.uint64(used))
@@ -713,7 +707,6 @@ class CuckooFilter(_Addressing):
         self._cells = cells
         self._occupancy = bytearray(occupancy.tobytes())
         self._table_count = int(occupancy.sum())
-        self._rows = rows
 
     def _load_stashes(self, data: bytes, offset: int) -> int:
         capacity = self.params.stash_capacity

@@ -5,21 +5,17 @@ members are ``[0, n)`` and negative probes are ``[n, n + queries)``, so
 member and probe sets are disjoint by construction and identical for every
 variant run under the same parameters.
 
-Every experiment is a pure function of its parameters and seeds.  Trials
-use one filter instance each and never share state, so callers are free to
-fan trials out across processes; the built-in runners stay sequential.
-Records report the measured rate next to the bound the analysis predicts
-for the same geometry.
-
-Wall-clock time is kept on the in-memory records for interactive use but
-never written to CSV or JSON, which keeps file output byte-identical for
-identical seeds.
+Every experiment is a pure function of its parameters and seeds, so
+identical seeds give byte-identical CSV and JSON.  Each cuckoo trial runs
+through ``_trial``, which builds, fills and probes one seeded filter; trials
+never share state, so callers are free to fan them out across processes,
+and the built-in runners stay sequential.  Records report the measured
+rate next to the bound the analysis predicts for the same geometry.
 """
 
 import csv
 import io
 import json
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -44,7 +40,6 @@ class TrialRecord:
     successes: int
     measured: float
     bound: float
-    wall_time_s: float = 0.0
 
     def __post_init__(self):
         if not 0 <= self.successes <= self.trials:
@@ -63,8 +58,7 @@ class TrialRecord:
         )
 
 
-# wall time is deliberately absent: output files must be reproducible
-CSV_FIELDS = [col.name for col in fields(TrialRecord) if col.name != "wall_time_s"]
+CSV_FIELDS = [col.name for col in fields(TrialRecord)]
 
 
 def render(records, fmt: str) -> str:
@@ -123,6 +117,20 @@ def _achievable_load(block_size: int) -> float:
     return max(0.0, 1.0 - slack - slack * slack)
 
 
+def _trial(n: int, block_size: int, fingerprint_bits: int, num_subtables: int, seed: int,
+           variant: Variant, stash_capacity: int = 0, queries: int = 0) -> int | None:
+    """Build one seeded filter and fill it with the n members: None when the
+    fill failed, else the false-positive hits among ``queries`` probes.
+
+    A probed trial with more members than table slots is not filled, as
+    fprate's bound refuses it and a fill would first hash all n members.
+    """
+    filt = build_filter(n, block_size, fingerprint_bits, num_subtables, seed, variant, stash_capacity)
+    if queries and n > filt.params.total_slots or insert_members(filt, n) < n:
+        return None
+    return int(filt.query_many(probe_values(n, queries)).sum()) if queries else 0
+
+
 def run_fp_experiment(
     n: int,
     block_size: int,
@@ -141,23 +149,14 @@ def run_fp_experiment(
     check_count(queries, "queries")
     records = []
     for seed in seeds:
-        start = time.perf_counter()
-        filt = build_filter(
-            n, block_size, fingerprint_bits, num_subtables, seed,
-            variant=variant, stash_capacity=stash_capacity,
-        )
+        hits = _trial(n, block_size, fingerprint_bits, num_subtables, seed, variant,
+                      stash_capacity, queries)
+        # per seed after the build, so FilterParams names a bad geometry first
         bound = planner.false_positive_bound(
-            n, filt.params.num_cells, block_size, fingerprint_bits
+            n, num_subtables << fingerprint_bits, block_size, fingerprint_bits
         )
-        inserted = insert_members(filt, n)
-        if inserted < n:
-            trials = successes = 0
-            measured = 0.0
-        else:
-            hits = filt.query_many(probe_values(n, queries))
-            trials = queries
-            successes = int(hits.sum())
-            measured = successes / queries
+        trials = 0 if hits is None else queries
+        successes = hits or 0
         records.append(
             TrialRecord(
                 experiment="fprate",
@@ -170,9 +169,8 @@ def run_fp_experiment(
                 seed=seed,
                 trials=trials,
                 successes=successes,
-                measured=measured,
+                measured=successes / queries,
                 bound=bound,
-                wall_time_s=time.perf_counter() - start,
             )
         )
     return records
@@ -195,13 +193,11 @@ def _construction_record(
     is their fraction.
     """
     check_count(trials, "trials")
-    start = time.perf_counter()
-    successes = 0
-    for trial in range(trials):
-        seed = hashing.hash_u64(trial, base_seed)
-        filt = build_filter(n, block_size, fingerprint_bits, num_subtables, seed, variant)
-        if insert_members(filt, n) == n:
-            successes += 1
+    successes = sum(
+        _trial(n, block_size, fingerprint_bits, num_subtables, hashing.hash_u64(trial, base_seed),
+               variant) is not None
+        for trial in range(trials)
+    )
     return TrialRecord(
         experiment=experiment,
         variant=variant.value,
@@ -215,7 +211,6 @@ def _construction_record(
         successes=successes,
         measured=successes / trials,
         bound=bound,
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -313,12 +308,10 @@ def bloom_baseline_rate(n: int, num_bits: int, queries: int, seed: int) -> Trial
     check_count(queries, "queries")
     if num_bits <= n:
         raise ValueError(f"num_bits={num_bits} must exceed n={n} for a useful baseline")
-    start = time.perf_counter()
     k = bloom.hash_count_for(num_bits, n)
     filt = bloom.BloomFilter(num_bits, k, seed)
     filt.add_many(member_values(n))
-    hits = filt.contains_many(probe_values(n, queries))
-    successes = int(hits.sum())
+    successes = int(filt.contains_many(probe_values(n, queries)).sum())
     return TrialRecord(
         experiment="bloom",
         variant="bloom",
@@ -332,7 +325,6 @@ def bloom_baseline_rate(n: int, num_bits: int, queries: int, seed: int) -> Trial
         successes=successes,
         measured=successes / queries,
         bound=2.0**-k,
-        wall_time_s=time.perf_counter() - start,
     )
 
 

@@ -1,7 +1,9 @@
 """Command line surface: exit codes, output formats, reproducibility."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import re
 from pathlib import Path
@@ -271,6 +273,66 @@ def test_flag_refused_exactly_when_the_library_check_raises(flag, value):
             assert excinfo.value.code == 1
         else:
             cli._build_parser().parse_args(argv)
+
+
+# per experiment flag: values in range and values refused.  No table past a
+# few million cells is really allocated: f <= 20, n <= 200, at most three
+# subtables, and loads of 0.01 or more (1e-320 is refused before allocating)
+EXPERIMENT_VALUES = {
+    "--n": (["2", "5", "100", "200"], ["1", "-7", "x"]),
+    "--b": (["1", "4", "255"], ["0", "256"]),
+    "--f": (["2", "8", "20"], ["1", "33"]),
+    "--subtables": (["1", "2", "3"], ["0", str(2**32)]),
+    "--stash": (["0", "4", "65535"], ["65536", "-1"]),
+    "--variant": (["simplified", "original"], ["bogus"]),
+    "--trials": (["1", "2"], ["0"]),
+    "--seeds": (["1", "2"], ["0"]),
+    "--queries": (["1", "50"], ["0"]),
+    "--loads": (["0.5", "1", "0.9,1", "0.01", "1e-320"], ["0,0.5", "nan", "2", ","]),
+    "--load": (["0.9", "1", "0.5", "1e-320"], ["0", "1.01", "nan"]),
+    "--fgrid": (["2,,4", "2", "8", "20", "2,20"], ["1", "33", ","]),
+    "--bits": (["2", "100", "1000"], ["0"]),
+    "--seed": (st.one_of(st.sampled_from([0, -1, 2**64 - 1, 2**64, -(2**64)]), st.integers()),
+               ["x", "1.5"]),
+}
+
+# the required flags, and the counts whose defaults (100 trials, 10 seeds,
+# 10^6 queries) would run for seconds
+ALWAYS_SET = {"--n", "--f", "--bits", "--trials", "--seeds", "--queries"}
+
+
+def test_experiment_values_cover_every_experiment_flag():
+    flags = {flag for _, _, names in cli._EXPERIMENTS.values() for flag in names.split()}
+    assert flags == set(EXPERIMENT_VALUES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(sorted(cli._EXPERIMENTS)), data=st.data())
+def test_experiments_exit_with_a_contract_code(command, data):
+    # every flag in range or absent (those in ALWAYS_SET present), except at
+    # most one flag set to a refused value
+    flags = cli._EXPERIMENTS[command][2].split()
+    refused = data.draw(st.none() | st.sampled_from(flags), label="refused")
+    argv = [command]
+    for flag in flags:
+        valid, out_of_range = EXPERIMENT_VALUES[flag]
+        values = valid if isinstance(valid, st.SearchStrategy) else st.sampled_from(valid)
+        if flag == refused:
+            values = st.sampled_from(out_of_range)
+        elif flag not in ALWAYS_SET:
+            values = st.none() | values
+        value = data.draw(values, label=flag)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 1
+        else:
+            assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def _readme_cli_section() -> str:

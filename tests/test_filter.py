@@ -415,13 +415,23 @@ def test_table_past_sys_maxsize_is_a_memory_error():
 
 
 def test_table_past_physical_memory_is_a_memory_error(monkeypatch):
-    # a 1 GiB machine: 2^27 cells at 8 + 2 bytes each do not fit, 2^16 do
+    # a 1 GiB machine: 2^27 cells at 8 + 8 + 2 bytes each do not fit, 2^16 do
     pages = {"SC_PHYS_PAGES": 1 << 18, "SC_PAGE_SIZE": 1 << 12}
     monkeypatch.setattr(filter_module.os, "sysconf", pages.__getitem__)
     params = FilterParams(capacity=100, block_size=4, fingerprint_bits=16, num_subtables=1 << 11)
     with pytest.raises(MemoryError, match="num_cells 134217728 needs .* physical memory"):
         CuckooFilter(params)
     assert CuckooFilter(FilterParams(capacity=100, block_size=4, fingerprint_bits=16)).stored_count == 0
+
+
+def test_memory_refusal_counts_the_view_row(monkeypatch):
+    # a 64 MiB machine: 2^20 cells of b=255, f=20 need 8 + 640 + 2 bytes
+    # each, 650 MiB, though the list and the two byte arrays need only 10 MiB
+    pages = {"SC_PHYS_PAGES": 1 << 14, "SC_PAGE_SIZE": 1 << 12}
+    monkeypatch.setattr(filter_module.os, "sysconf", pages.__getitem__)
+    params = FilterParams(capacity=100, block_size=255, fingerprint_bits=20)
+    with pytest.raises(MemoryError, match=f"num_cells {1 << 20} needs {650 << 20} bytes"):
+        CuckooFilter(params)
 
 
 def _stashed_filter() -> CuckooFilter:

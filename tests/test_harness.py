@@ -15,7 +15,7 @@ def record(**overrides) -> TrialRecord:
     defaults = dict(
         experiment="fprate", variant="simplified", n=100, b=4, f=8,
         num_subtables=1, stash_capacity=0, seed=3, trials=1000,
-        successes=990, measured=0.01, bound=0.02, wall_time_s=1.25,
+        successes=990, measured=0.01, bound=0.02,
     )
     defaults.update(overrides)
     return TrialRecord(**defaults)
@@ -64,7 +64,7 @@ def test_sort_is_total_and_stable():
 
 
 def test_csv_round_trip_drops_wall_time():
-    records = [record(seed=s, wall_time_s=9.9) for s in (2, 0, 1)]
+    records = [record(seed=s) for s in (2, 0, 1)]
     text = harness.render(records, "csv")
     assert "wall_time" not in text
     assert text.endswith("\n")
@@ -126,12 +126,22 @@ def test_subtables_for_load():
     [
         lambda: harness.run_failure_sweep(100, 4, 0.5, [8.0], 1),
         lambda: harness.run_load_sweep(100, 4, 8.0, [0.5], 1),
+        lambda: harness.run_fp_experiment(100, 4, 8.0, 1, 10, [0]),
+        lambda: harness.run_variant_compare(100, 4, 8.0, 1, 1),
     ],
-    ids=["failsweep", "loadsweep"],
+    ids=["failsweep", "loadsweep", "fprate", "compare"],
 )
 def test_runners_name_a_non_integer_width(call):
-    with pytest.raises(TypeError, match="fingerprint width"):
+    with pytest.raises(TypeError, match="fingerprint width must be an integer, not float"):
         call()
+
+
+def test_fp_experiment_refuses_members_past_the_table_before_filling():
+    # 10^15 members for 4 slots: the bound refuses them before a member is hashed
+    with pytest.raises(ValueError, match="n=1000000000000000 exceeds the 4 table slots"):
+        harness.run_fp_experiment(10**15, 1, 2, 1, 10, [0], stash_capacity=8)
+    # no seed builds no filter, so the bad width is never looked at
+    assert harness.run_fp_experiment(100, 4, 8.0, 1, 10, []) == []
 
 
 def test_fp_experiment_records():
@@ -147,7 +157,6 @@ def test_fp_experiment_records():
         assert r.measured == r.successes / r.trials
         assert r.bound > 0
         assert r.measured <= 2 * r.bound + 5e-3  # slack for a tiny sample
-        assert r.wall_time_s > 0
 
 
 def test_fp_experiment_identical_reruns():

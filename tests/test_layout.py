@@ -8,8 +8,9 @@ belongs to the last slot.
 
 Batch queries and ``to_bytes`` read the wire table from a view kept beside
 the cell ints.  The view tests check it after each kind of write against a
-twin filter that never reads through one, count the cells each read
-re-encodes, and guard the list of methods that write the cells.
+twin filter whose view is re-encoded from every cell int before each read,
+count the cells each read re-encodes, and guard the list of methods that
+write the cells.
 """
 
 import ast
@@ -260,18 +261,17 @@ class Homes:
 
 
 def afresh(filt: CuckooFilter) -> bytes:
-    """to_bytes() through a view built for this call alone."""
-    filt._rows = None
-    payload = filt.to_bytes()
-    filt._rows = None
-    return payload
+    """to_bytes() through a view zeroed and re-encoded from every cell int."""
+    filt._rows[:] = 0
+    filt._stale[:] = b"\x01" * len(filt._stale)
+    return filt.to_bytes()
 
 
 def view_pair(block_size: int, fingerprint_bits: int) -> tuple:
     """A filter restored by from_bytes that has served a batch, and its twin.
 
     Both hold the same members at load ~0.3, one subtable, stash 4.  The
-    twin never reads through a view.
+    twin is read only through afresh.
     """
     params = FilterParams(
         capacity=1000, block_size=block_size, fingerprint_bits=fingerprint_bits,
@@ -431,6 +431,25 @@ def test_view_reencodes_only_the_cells_written():
     assert encoded.take() == []
 
 
+def test_first_read_clears_the_flags_of_emptied_cells():
+    # cells written and then emptied before any read: the first read clears
+    # their flags, so a second read encodes nothing
+    params = FilterParams(capacity=200, block_size=4, fingerprint_bits=8, seed=16)
+    filt = CuckooFilter(params)
+    values = [encode_u64(value) for value in range(FILL_BASE, FILL_BASE + 50)]
+    for value in values:
+        assert filt.insert(value) is InsertOutcome.STORED
+    for value in values:
+        assert filt.delete(value)
+    empty = CuckooFilter(params).to_bytes()
+    encoded = EncodeSpy(filt)
+    assert filt.to_bytes() == empty
+    encoded.take()
+    assert not any(filt._stale)
+    assert filt.to_bytes() == empty
+    assert encoded.take() == [], "the second read"
+
+
 def test_reads_inside_insert_many_see_a_current_view():
     subject, twin, members = view_pair(4, 12)
     for value in members[::5].tolist():
@@ -456,7 +475,7 @@ def test_reads_inside_insert_many_see_a_current_view():
 
 
 # every method that stores into the cell ints; each but _load_table, which
-# adopts its view, flags the cells it writes
+# derives them from the view, flags the cells it writes
 CELL_WRITERS = {"insert_hashed", "insert_many", "_remove_from_cell", "_load_table"}
 LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
                  "__setitem__", "__delitem__", "__iadd__"}
@@ -517,8 +536,8 @@ def test_concurrent_readers_see_a_current_view():
             values = np.arange(3 * FILL_BASE + 500 * round_, 3 * FILL_BASE + 500 * (round_ + 1),
                                dtype=np.uint64)
             if round_ == 16:
-                # a subject never read: the readers race to build its first
-                # view, about ten chunks of occupied cells
+                # a subject never read: the readers race on a refresh of every
+                # written cell, about ten chunks of them
                 params = replace(twin.params, fingerprint_bits=14)
                 subject, twin = CuckooFilter(params), CuckooFilter(params)
                 values = probes = np.arange(4 * FILL_BASE, 4 * FILL_BASE + 16000, dtype=np.uint64)
