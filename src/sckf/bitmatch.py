@@ -23,6 +23,26 @@ genuine match, so first-match semantics are unaffected.
 The functions take Python ints, which have no word size, so a block of
 any number of lanes is matched in one call: the top lane's carry bit
 simply lands above it.
+
+The numpy batch path cannot do that: a uint64 loses the carry out of a
+lane that ends at bit 63, so a full 64-bit word would hide a match in its
+top lane.  It uses the borrow form of the same test instead, the "has zero
+lane" trick of the reference cuckoo filter (Fan et al., CoNEXT 2014) and
+of "Bit Twiddling Hacks".  With L the lane constant of one word
+(``word_lane_constants``) and H = L << (width - 1) the top bit of each
+lane:
+
+1. ``x = word ^ (fingerprint * L)`` turns every matching lane into zero.
+2. ``(x - L) & ~x & H`` is nonzero iff some lane of x is zero: lanes
+   below the lowest zero lane are nonzero, so they absorb their
+   subtracted 1 without a borrow, and the zero lane turns all-ones,
+   flagging its top bit; a nonzero lane with no borrow coming in never
+   flags, since ``~x`` clears any top bit that x itself set.
+
+A borrow out of a zero lane can flag the lane above it spuriously, so
+only "any flag" is meaningful, which is all a membership test needs.
+A borrow out of the top lane lands in bits that no flag covers.
+Empty lanes (zero) never match, because fingerprints are at least 1.
 """
 
 import operator
@@ -37,6 +57,22 @@ def make_lane_constant(width: int, lanes: int) -> int:
     if lanes < 1:
         raise ValueError(f"need at least one lane, got {lanes}")
     return sum(1 << (i * width) for i in range(lanes))
+
+
+def word_lane_constants(width: int, lanes: int) -> list[int]:
+    """Lane constant of each 64-bit word of ``lanes`` densely packed lanes.
+
+    Word k holds bits [64k, 64k + 64) of the block.  Its constant has one
+    bit at the bottom of each lane lying wholly inside the word, at that
+    lane's offset within the word; a lane that straddles two words is in
+    neither constant (zero for a word that holds only such lanes).
+    """
+    constants = [0] * ((lanes * width + 63) // 64)
+    for lane in range(lanes):
+        word, shift = divmod(lane * width, 64)
+        if shift + width <= 64:
+            constants[word] |= 1 << shift
+    return constants
 
 
 def match_bits(word: int, fingerprint: int, lane_constant: int, width: int) -> int:

@@ -2,8 +2,10 @@
 
 Probes use double hashing: probe i lands at ``(h_a + i * h_b) mod bits``,
 where h_b is reduced mod bits and a zero step becomes one.  Index
-arithmetic wraps at 64 bits before the final modulo, so the scalar oracle
-in the tests (the same probes over 8-byte LE elements) is bit-identical.
+arithmetic wraps at 64 bits before the final modulo, which
+``hashing.remainder_in_place`` takes like every batch reduction, so the
+scalar oracle in the tests (the same probes over 8-byte LE elements) is
+bit-identical.
 """
 
 import math
@@ -41,19 +43,19 @@ class BloomFilter:
         """Vectorized add of 64-bit counters, checked as hashing.counter_batch documents."""
         a, b = self._hash_many(values)
         for i in range(self.num_hashes):
-            self._bits[(a + np.uint64(i) * b) % np.uint64(self.num_bits)] = True
+            self._bits[hashing.remainder_in_place(a + np.uint64(i) * b, self.num_bits)] = True
 
     def contains_many(self, values: np.ndarray) -> np.ndarray:
         a, b = self._hash_many(values)
         out = np.ones(a.shape, dtype=bool)
         for i in range(self.num_hashes):
-            out &= self._bits[(a + np.uint64(i) * b) % np.uint64(self.num_bits)]
+            out &= self._bits[hashing.remainder_in_place(a + np.uint64(i) * b, self.num_bits)]
         return out
 
     def _hash_many(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values = hashing.counter_batch(values)
         a = hashing.hash_u64_many(values, self._seed_a)
         b = hashing.hash_u64_many(values, self._seed_b)
-        step = b % np.uint64(self.num_bits)
-        step = np.where(step == 0, np.uint64(1), step)
+        step = hashing.remainder_in_place(b, self.num_bits)
+        step[step == 0] = 1
         return a, step

@@ -33,7 +33,10 @@ v1 wire table as a ``(num_cells, words)`` uint64 array, ``8 * words``
 bytes per cell, allocated zero with the table.  Every write to a cell int
 sets the cell's stale flag, and each batch read re-encodes the flagged
 cells.  ``from_bytes`` decodes the payload's table into the view and
-derives the cell ints from it, with no flag set.
+derives the cell ints from it, with no flag set.  ``query_many`` compares
+whole wire words: per word, one borrow-form lane match (see bitmatch)
+tests all the lanes lying wholly inside it, and only a slot that
+straddles two words is extracted on its own.
 
 ``insert_hashed`` takes a global home index in [0, num_cells) and a
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
@@ -252,10 +255,8 @@ class _Addressing:
         checked as hashing.counter_batch documents.
         """
         values = hashing.counter_batch(values)
-        homes = hashing.hash_u64_many(values, self._seed_home)
-        homes %= np.uint64(self._n_cells)
-        fps = hashing.hash_u64_many(values, self._seed_fp)
-        fps %= np.uint64(self._fp_mask)
+        homes = hashing.remainder_in_place(hashing.hash_u64_many(values, self._seed_home), self._n_cells)
+        fps = hashing.remainder_in_place(hashing.hash_u64_many(values, self._seed_fp), self._fp_mask)
         fps += np.uint64(1)
         return homes, fps
 
@@ -263,8 +264,7 @@ class _Addressing:
         """Element-wise _alt over uint64 arrays."""
         if self._simplified:
             return homes ^ fps
-        alts = hashing.hash_u64_many(fps, self._seed_alt)
-        alts %= np.uint64(self._n_cells - 1)
+        alts = hashing.remainder_in_place(hashing.hash_u64_many(fps, self._seed_alt), self._n_cells - 1)
         alts += np.uint64(1)
         alts ^= homes
         return alts
@@ -295,6 +295,11 @@ class CuckooFilter(_Addressing):
         self._block_size = params.block_size
         self._block_words = words
         self._lane_const = bitmatch.make_lane_constant(self._f, params.block_size)
+        # query_many's per-word lane constants, and the slots they leave out
+        lows = bitmatch.word_lane_constants(self._f, params.block_size)
+        self._word_lows = [np.uint64(low) for low in lows]
+        self._word_highs = [np.uint64(low << self._f - 1) for low in lows]
+        self._straddling = [slot for slot in range(params.block_size) if slot * self._f % 64 + self._f > 64]
         self._cells = [0] * self._n_cells
         # one byte per cell: a zero-lane fullness test on the cell int instead fills ~18% slower
         self._occupancy = bytearray(self._n_cells)
@@ -426,25 +431,50 @@ class CuckooFilter(_Addressing):
         Equivalent to query(encode_u64(v)) for each v, evaluated with
         numpy on the wire-table view: the probes are hashed once, then
         their alternates computed and both cells compared chunk by chunk,
-        so each chunk's temporaries stay in cache.
+        so each chunk's temporaries stay in cache.  Each wire word of a
+        probed block is tested for the fingerprint in all of its whole
+        lanes at once, with the borrow form of the lane match (see
+        bitmatch); only a slot that straddles two words is extracted
+        and compared on its own.
         """
         homes, fps = self.hash_many(values)
         rows = self._wire_rows()
         table = [rows[:, word] for word in range(self._block_words)]
         hits = np.zeros(homes.shape, dtype=bool)
         chunk = hashing._CHUNK
+        size = min(homes.size, chunk)
+        # per word, the chunk's fingerprints repeated in each of its lanes
+        patterns = [np.empty(size, dtype=np.uint64) for _ in table]
+        flags = np.empty(size, dtype=np.uint64)
+        found = np.empty(size, dtype=np.uint64)
         for start in range(0, homes.size, chunk):
             part = slice(start, start + chunk)
             chunk_homes = homes[part]
             chunk_fps = fps[part]
             chunk_hits = hits[part]
+            n = chunk_homes.size
+            chunk_flags, chunk_found = flags[:n], found[:n]
+            chunk_found.fill(0)
+            for low, pattern in zip(self._word_lows, patterns):
+                np.multiply(chunk_fps, low, out=pattern[:n])
             for cells in (chunk_homes, self._alt_many(chunk_homes, chunk_fps)):
                 # cells < 2^63: numpy indexes int64 uncast; per-word column
-                # gathers: a 2-D row gather rows[cells] is ~4x slower
+                # gathers: a 2-D row gather rows[cells] is ~4x slower, and
+                # np.take(rows, cells, axis=0) ties at two words and loses at three
                 cells = cells.view(np.int64)
                 columns = [column[cells] for column in table]
-                for slot in range(self._block_size):
+                for slot in self._straddling:
                     chunk_hits |= self._slot_values(columns, slot) == chunk_fps
+                # then each gathered word in place: x = word ^ pattern, and
+                # (x - low) & ~x & high flags its zero (matching) lanes
+                for x, low, high, pattern in zip(columns, self._word_lows, self._word_highs, patterns):
+                    x ^= pattern[:n]
+                    np.subtract(x, low, out=chunk_flags)
+                    np.invert(x, out=x)
+                    chunk_flags &= x
+                    chunk_flags &= high
+                    chunk_found |= chunk_flags
+            chunk_hits |= chunk_found != 0
         if self._stash_count:
             hits |= self._stash_contains_many(homes, fps)
         return hits

@@ -122,11 +122,15 @@ def _trial(n: int, block_size: int, fingerprint_bits: int, num_subtables: int, s
     """Build one seeded filter and fill it with the n members: None when the
     fill failed, else the false-positive hits among ``queries`` probes.
 
-    A probed trial with more members than table slots is not filled, as
-    fprate's bound refuses it and a fill would first hash all n members.
+    A trial with more members than its table slots and stashes hold is
+    not filled, since the fill would fail for certain after hashing all n
+    members; nor is a probed trial with more members than table slots,
+    which fprate's bound refuses.
     """
     filt = build_filter(n, block_size, fingerprint_bits, num_subtables, seed, variant, stash_capacity)
-    if queries and n > filt.params.total_slots or insert_members(filt, n) < n:
+    params = filt.params
+    room = params.total_slots if queries else params.total_slots + params.num_subtables * params.stash_capacity
+    if n > room or insert_members(filt, n) < n:
         return None
     return int(filt.query_many(probe_values(n, queries)).sum()) if queries else 0
 

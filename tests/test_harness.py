@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -214,6 +215,34 @@ def test_variant_compare_runs_both():
     assert {r.variant for r in records} == {"simplified", "original"}
     for r in records:
         assert r.successes == 4  # load is low, both variants must build
+
+
+def test_trial_past_the_table_and_stashes_fails_without_filling():
+    # 10^6 members for 4 slots: certain to fail, so no member is hashed
+    tracemalloc.start()
+    try:
+        records = harness.run_variant_compare(10**6, 1, 2, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert records == [
+        record(experiment="compare", variant=variant, n=10**6, b=1, f=2, seed=0, trials=1,
+               successes=0, measured=0.0, bound=0.0)
+        for variant in ("simplified", "original")
+    ]
+
+
+@pytest.mark.parametrize("stash_capacity", [0, 3])
+def test_trial_outcome_around_the_table_and_stash_room(stash_capacity):
+    # b=2, f=2, 2 subtables: 16 slots, plus 2 stashes
+    room = 16 + 2 * stash_capacity
+    for n in range(room - 6, room + 3):
+        for seed in range(4):
+            filt = harness.build_filter(n, 2, 2, 2, seed, Variant.SIMPLIFIED, stash_capacity)
+            filled = harness.insert_members(filt, n) == n
+            outcome = harness._trial(n, 2, 2, 2, seed, Variant.SIMPLIFIED, stash_capacity)
+            assert outcome == (0 if filled else None), (n, seed)
 
 
 def test_variant_compare_rejects_non_power_of_two():

@@ -232,6 +232,83 @@ def test_query_many_matches_scalar_across_chunk_edges(name):
         assert filt.query_many(values[:size]).tolist() == scalar[:size], size
 
 
+# -- adversarial lanes for the whole-word match ------------------------------
+
+# (block size, fingerprint bits, variant): two words with no straddle,
+# straddling slots 5 and 10, a last word holding only a straddle's top,
+# eight words of 2-bit lanes, and the original variant's alternates
+LANE_GEOMETRIES = [
+    (8, 16, Variant.SIMPLIFIED),
+    (13, 12, Variant.SIMPLIFIED),
+    (7, 10, Variant.SIMPLIFIED),
+    (255, 2, Variant.SIMPLIFIED),
+    (13, 12, Variant.ORIGINAL),
+]
+
+
+def place(filt: CuckooFilter, cell: int, lanes: list[int]) -> None:
+    """Store lanes (0 = empty) in an empty cell through insert_hashed.
+
+    A zero lane below a stored one is left as a hole: a stand-in is
+    inserted there, then removed, bottom hole first, so the removal finds
+    the stand-in in no lower slot.
+    """
+    f = filt.params.fingerprint_bits
+    top = max((slot for slot, value in enumerate(lanes) if value), default=-1)
+    stand_ins = {}
+    for slot, value in enumerate(lanes[: top + 1]):
+        if not value:
+            value = stand_ins[slot] = next(w for w in range(1, 1 << f) if w not in lanes[:slot])
+        assert filt.insert_hashed(cell, value) is InsertOutcome.STORED
+    for value in stand_ins.values():
+        assert filt._remove_from_cell(cell, value)
+    assert filt._cells[cell] == sum(value << slot * f for slot, value in enumerate(lanes))
+
+
+def lane_positions(block_size: int, fingerprint_bits: int) -> list[int]:
+    """Slots 1 and b - 1, and each slot at a wire word's edge: a word's
+    first or last whole lane, or a lane that straddles two words."""
+    f = fingerprint_bits
+    return [
+        slot for slot in range(block_size)
+        if slot in (1, block_size - 1)
+        or (slot - 1) * f // 64 != slot * f // 64  # the lane below starts in an earlier word
+        or ((slot + 2) * f - 1) // 64 != slot * f // 64  # the lane above ends in a later word
+    ]
+
+
+@pytest.mark.parametrize("block_size,fingerprint_bits,variant", LANE_GEOMETRIES)
+def test_query_many_matches_scalar_on_adversarial_lanes(block_size, fingerprint_bits, variant):
+    f = fingerprint_bits
+    params = FilterParams(capacity=block_size, block_size=block_size, fingerprint_bits=f,
+                          variant=variant, seed=block_size * 100 + f)
+    pool = np.arange(1 << min(f + 4, 20), dtype=np.uint64)
+    empty = CuckooFilter(params)
+    _, pool_fps = empty.hash_many(pool)
+    # fingerprints 1 and 2^f - 1, and a third from the pool's first value
+    probes = [int(np.flatnonzero(pool_fps == fp)[0]) for fp in (1, (1 << f) - 1)] + [0]
+    for probe in probes:
+        value = np.array([probe], dtype=np.uint64)
+        homes, fps = empty.hash_many(value)
+        home, fp, alt = int(homes[0]), int(fps[0]), int(empty._alt_many(homes, fps)[0])
+        # lanes that differ from fp in the top bit only, in the lowest bit only
+        # (a borrow out of a lane below ripples through them), and in every bit;
+        # each is an empty lane when it is zero
+        backgrounds = {fp ^ (1 << (f - 1)), fp ^ 1, fp ^ ((1 << f) - 1)}
+        for background in backgrounds:
+            for slot in lane_positions(block_size, f):
+                for lane, matched in ((fp, True), (0, False)):
+                    for cell, other in ((home, alt), (alt, home)):
+                        lanes = [background] * block_size
+                        lanes[slot] = lane
+                        filt = CuckooFilter(params)
+                        place(filt, cell, lanes)
+                        place(filt, other, [background] * block_size)
+                        scalar = filt.query(encode_u64(probe))
+                        assert scalar is matched
+                        assert filt.query_many(value).tolist() == [scalar], (probe, background, slot, cell)
+
+
 # -- the wire-table view ------------------------------------------------------
 
 VIEW_GEOMETRIES = [(4, 12), (8, 16), (13, 12)]  # one, two and three wire words
