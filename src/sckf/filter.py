@@ -28,15 +28,18 @@ zero, and otherwise fills the lowest empty slot.  Both pick the same slot.
 the home cell or, when the home is full, in the alternate; a cell with a
 hole and a pair of full cells go to ``insert_hashed``.
 
-Batch queries and ``to_bytes`` read a derived view of the cell ints: the
-v1 wire table as a ``(num_cells, words)`` uint64 array, ``8 * words``
-bytes per cell, allocated zero with the table.  Every write to a cell int
-sets the cell's stale flag, and each batch read re-encodes the flagged
-cells.  ``from_bytes`` decodes the payload's table into the view and
-derives the cell ints from it, with no flag set.  ``query_many`` compares
-whole wire words: per word, one borrow-form lane match (see bitmatch)
-tests all the lanes lying wholly inside it, and only a slot that
-straddles two words is extracted on its own.
+Batch queries and ``to_bytes`` read a view of the table beside the cell
+ints: the v1 wire table as a ``(num_cells, words)`` uint64 array,
+``8 * words`` bytes per cell, allocated zero with the table.  Every write
+to a cell int sets the cell's stale flag, and each batch read re-encodes
+the flagged cells.  ``from_bytes`` copies the payload's table into the
+view and checks it there, but builds no cell ints: they are built from
+the view on the first scalar read or write, so a filter that is loaded,
+batch queried and saved never builds them.  ``query_many`` hashes
+and probes a chunk of its batch at a time and compares whole wire words:
+per word, one borrow-form lane match (see bitmatch) tests all the lanes
+lying wholly inside it, and only a slot that straddles two words is
+extracted on its own.
 
 ``insert_hashed`` takes a global home index in [0, num_cells) and a
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
@@ -300,7 +303,8 @@ class CuckooFilter(_Addressing):
         self._word_lows = [np.uint64(low) for low in lows]
         self._word_highs = [np.uint64(low << self._f - 1) for low in lows]
         self._straddling = [slot for slot in range(params.block_size) if slot * self._f % 64 + self._f > 64]
-        self._cells = [0] * self._n_cells
+        # None after from_bytes until the first scalar read or write; see _cell_ints
+        self._cells: list[int] | None = [0] * self._n_cells
         # one byte per cell: a zero-lane fullness test on the cell int instead fills ~18% slower
         self._occupancy = bytearray(self._n_cells)
         # every write to a cell sets its flag; the next batch read clears it
@@ -352,7 +356,7 @@ class CuckooFilter(_Addressing):
                 self._stash_count += 1
                 return InsertOutcome.STASHED
             return InsertOutcome.FAILED
-        cells = self._cells
+        cells = self._cells or self._cell_ints()
         f = self._f
         stored = cells[cell]
         occ = occupancy[cell]
@@ -391,7 +395,7 @@ class CuckooFilter(_Addressing):
         # a batch built just for this call is freed here, not held through
         # the loop beside its hashes
         del values
-        cells = self._cells
+        cells = self._cells or self._cell_ints()
         occupancy = self._occupancy
         stale = self._stale
         block = self._block_size
@@ -429,29 +433,31 @@ class CuckooFilter(_Addressing):
         """Vectorized query over 64-bit counters (8-byte LE elements).
 
         Equivalent to query(encode_u64(v)) for each v, evaluated with
-        numpy on the wire-table view: the probes are hashed once, then
-        their alternates computed and both cells compared chunk by chunk,
-        so each chunk's temporaries stay in cache.  Each wire word of a
-        probed block is tested for the fingerprint in all of its whole
-        lanes at once, with the borrow form of the lane match (see
-        bitmatch); only a slot that straddles two words is extracted
+        numpy on the wire-table view one chunk of probes at a time: a
+        chunk is hashed, its alternates computed and both cells compared,
+        so no temporary outlives its chunk and each stays in cache.  Each
+        wire word of a probed block is tested for the fingerprint in all
+        of its whole lanes at once, with the borrow form of the lane match
+        (see bitmatch); only a slot that straddles two words is extracted
         and compared on its own.
         """
-        homes, fps = self.hash_many(values)
+        values = hashing.counter_batch(values)
         rows = self._wire_rows()
         table = [rows[:, word] for word in range(self._block_words)]
-        hits = np.zeros(homes.shape, dtype=bool)
+        hits = np.zeros(values.shape, dtype=bool)
+        stash_fps = None
+        if self._stash_count:
+            # the stashed fingerprints: only a probe with one of them looks in its stash
+            stash_fps = np.fromiter({fp for stash in self._stashes for _, fp in stash}, dtype=np.uint64)
         chunk = hashing._CHUNK
-        size = min(homes.size, chunk)
+        size = min(values.size, chunk)
         # per word, the chunk's fingerprints repeated in each of its lanes
         patterns = [np.empty(size, dtype=np.uint64) for _ in table]
         flags = np.empty(size, dtype=np.uint64)
         found = np.empty(size, dtype=np.uint64)
-        for start in range(0, homes.size, chunk):
-            part = slice(start, start + chunk)
-            chunk_homes = homes[part]
-            chunk_fps = fps[part]
-            chunk_hits = hits[part]
+        for start in range(0, values.size, chunk):
+            chunk_homes, chunk_fps = self.hash_many(values[start : start + chunk])
+            chunk_hits = hits[start : start + chunk]
             n = chunk_homes.size
             chunk_flags, chunk_found = flags[:n], found[:n]
             chunk_found.fill(0)
@@ -475,8 +481,9 @@ class CuckooFilter(_Addressing):
                     chunk_flags &= high
                     chunk_found |= chunk_flags
             chunk_hits |= chunk_found != 0
-        if self._stash_count:
-            hits |= self._stash_contains_many(homes, fps)
+            if stash_fps is not None:
+                for i in np.flatnonzero(np.isin(chunk_fps, stash_fps)).tolist():
+                    chunk_hits[i] |= self._stash_contains(int(chunk_homes[i]), int(chunk_fps[i]))
         return hits
 
     def delete(self, element: bytes) -> bool:
@@ -518,10 +525,12 @@ class CuckooFilter(_Addressing):
         return min(local, local ^ fingerprint)
 
     def _cell_contains(self, cell: int, fingerprint: int) -> bool:
-        return bitmatch.match_bits(self._cells[cell], fingerprint, self._lane_const, self._f) != 0
+        return bitmatch.match_bits((self._cells or self._cell_ints())[cell], fingerprint,
+                                   self._lane_const, self._f) != 0
 
     def _find_slot(self, cell: int, fingerprint: int) -> int | None:
-        return bitmatch.find_fingerprint(self._cells[cell], fingerprint, self._lane_const, self._f)
+        return bitmatch.find_fingerprint((self._cells or self._cell_ints())[cell], fingerprint,
+                                         self._lane_const, self._f)
 
     def _slot_values(self, columns: list[np.ndarray], slot: int) -> np.ndarray:
         """One slot of many blocks given as uint64 arrays of their wire words.
@@ -540,7 +549,8 @@ class CuckooFilter(_Addressing):
         slot = self._find_slot(cell, fingerprint)
         if slot is None:
             return False
-        self._cells[cell] = bitmatch.write_lane(self._cells[cell], slot, self._f, 0)
+        cells = self._cells or self._cell_ints()
+        cells[cell] = bitmatch.write_lane(cells[cell], slot, self._f, 0)
         self._stale[cell] = 1
         self._occupancy[cell] -= 1
         self._table_count -= 1
@@ -551,13 +561,6 @@ class CuckooFilter(_Addressing):
             return False
         entry = (self._canonical_local(home, fingerprint), fingerprint)
         return entry in self._stashes[home >> self._f]
-
-    def _stash_contains_many(self, homes: np.ndarray, fps: np.ndarray) -> np.ndarray:
-        stash_fps = np.fromiter({fp for stash in self._stashes for _, fp in stash}, dtype=np.uint64)
-        hits = np.zeros(homes.shape, dtype=bool)
-        for i in np.flatnonzero(np.isin(fps, stash_fps)):
-            hits[i] = self._stash_contains(int(homes[i]), int(fps[i]))
-        return hits
 
     def _evict_path(self, home: int, alt: int) -> tuple[int | None, dict]:
         """Breadth-first eviction search from two full candidate cells.
@@ -572,7 +575,7 @@ class CuckooFilter(_Addressing):
         block = self._block_size
         f = self._f
         mask = self._fp_mask
-        cells = self._cells
+        cells = self._cells or self._cell_ints()
         occupancy = self._occupancy
         budget = self.params.max_evictions
         level = sorted((home, alt))
@@ -698,7 +701,25 @@ class CuckooFilter(_Addressing):
     def _table_bytes(self, cells) -> bytes:
         """The wire blocks of the given cell indexes, in their order."""
         size = 8 * self._block_words
-        return b"".join([self._cells[cell].to_bytes(size, "little") for cell in cells])
+        ints = self._cells or self._cell_ints()
+        return b"".join([ints[cell].to_bytes(size, "little") for cell in cells])
+
+    def _cell_ints(self) -> list[int]:
+        """Build the cell ints of a loaded filter from the wire-table view.
+
+        ``from_bytes`` leaves them unbuilt, and every reader takes
+        ``self._cells or self._cell_ints()``, so they are built on the first
+        scalar read or write.  Until then no cell has been written, so the
+        view holds the whole table, and racing first readers each build an
+        equal list from it.
+        """
+        # word k of a block holds its bits [64k, 64k + 64)
+        cells = self._rows[:, 0].tolist()
+        for word in range(1, self._block_words):
+            shift = 64 * word
+            cells = [cell | high << shift for cell, high in zip(cells, self._rows[:, word].tolist())]
+        self._cells = cells
+        return cells
 
     def _wire_rows(self) -> np.ndarray:
         """The wire-table view, brought up to date with the cell ints.
@@ -719,7 +740,10 @@ class CuckooFilter(_Addressing):
         return rows
 
     def _load_table(self) -> None:
-        """Derive the cell ints and occupancy from the wire-table view."""
+        """Check the padding bits of the wire-table view; derive occupancy and count from it.
+
+        The cell ints are left unbuilt (see _cell_ints).
+        """
         columns = [self._rows[:, word] for word in range(self._block_words)]
         used = self._block_size * self._f - 64 * (self._block_words - 1)
         if used < 64:
@@ -729,14 +753,9 @@ class CuckooFilter(_Addressing):
         occupancy = np.zeros(self._n_cells, dtype=np.uint8)
         for slot in range(self._block_size):
             occupancy += self._slot_values(columns, slot) != 0
-        # word k of a block holds its bits [64k, 64k + 64)
-        cells = columns[0].tolist()
-        for word in range(1, self._block_words):
-            shift = 64 * word
-            cells = [cell | high << shift for cell, high in zip(cells, columns[word].tolist())]
-        self._cells = cells
         self._occupancy = bytearray(occupancy.tobytes())
         self._table_count = int(occupancy.sum())
+        self._cells = None
 
     def _load_stashes(self, data: bytes, offset: int) -> int:
         capacity = self.params.stash_capacity

@@ -89,8 +89,12 @@ def remainder_in_place(values: np.ndarray, divisor: int) -> np.ndarray:
     by one scalar divides by a precomputed multiply and shift, so the
     remainder is taken as ``v - (v // d) * d``: about a third of the time
     of ``%`` on a chunk.  The product never exceeds v, so this is exact for
-    any divisor in [1, 2^64).
+    any divisor in [1, 2^64).  A power-of-two divisor, such as the cell
+    count of a table with power-of-two subtables, is a mask instead.
     """
+    if not divisor & (divisor - 1):
+        values &= np.uint64(divisor - 1)
+        return values
     divisor = np.uint64(divisor)
     quotient = np.empty(min(values.size, _CHUNK), dtype=np.uint64)
     for start in range(0, values.size, _CHUNK):

@@ -80,7 +80,9 @@ def test_seed_changes_every_output():
     assert not np.any(a == b)
 
 
-REMAINDER_DIVISORS = [1, 3, *((1 << f) - 1 for f in range(2, 33)), 7 << 12, (1 << 32) + 1, hashing.MASK64]
+# powers of two take the mask path, every other divisor the divide path
+REMAINDER_DIVISORS = [1, 2, 1 << 16, 1 << 63, 3, *((1 << f) - 1 for f in range(2, 33)), 7 << 12,
+                      (1 << 16) + 1, (1 << 32) + 1, (1 << 63) + 1, hashing.MASK64]
 
 
 @pytest.mark.parametrize("size", [hashing._CHUNK - 1, hashing._CHUNK, hashing._CHUNK + 1])
@@ -88,7 +90,8 @@ def test_remainder_in_place_equals_numpy_remainder(size):
     rng = np.random.default_rng(size)
     random = rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
     for divisor in REMAINDER_DIVISORS:
-        edges = [0, 1, divisor - 1, divisor, 1 << 63, hashing.MASK64]
+        edges = [0, 1, divisor - 1, divisor, 1 << 63, hashing.MASK64 - divisor + 1, hashing.MASK64 - 1,
+                 hashing.MASK64]
         values = random.copy()
         values[: len(edges)] = edges
         values[-len(edges) :] = edges  # in the last chunk too, partial or whole

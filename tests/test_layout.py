@@ -10,13 +10,17 @@ Batch queries and ``to_bytes`` read the wire table from a view kept beside
 the cell ints.  The view tests check it after each kind of write against a
 twin filter whose view is re-encoded from every cell int before each read,
 count the cells each read re-encodes, and guard the list of methods that
-write the cells.
+write the cells.  The cell ints are built from the view on the first
+scalar read or write; the lazy-state tests check that a loaded filter
+serves batch reads and saves without them, and that each first scalar
+call leaves it as a filter that was never serialized.
 """
 
 import ast
 import hashlib
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,6 +59,11 @@ def stash_one(filt: CuckooFilter) -> int:
             assert filt.insert(encode_u64(value)) is InsertOutcome.STORED
     assert filt.insert(encode_u64(0)) is InsertOutcome.STASHED
     return 0
+
+
+def cell_ints(filt: CuckooFilter) -> list[int]:
+    """The cell ints, built from the view if no scalar call has built them yet."""
+    return filt._cells or filt._cell_ints()
 
 
 def fill(filt: CuckooFilter, count: int) -> list[int]:
@@ -232,6 +241,25 @@ def test_query_many_matches_scalar_across_chunk_edges(name):
         assert filt.query_many(values[:size]).tolist() == scalar[:size], size
 
 
+def test_large_batch_holds_one_chunk_of_temporaries():
+    # at batch_scan's geometry (b=8, f=16, 65,536 cells, 100,000 members) a
+    # 2^20-probe batch needs its 1 MiB of answers and one chunk's buffers;
+    # batch-sized home and fingerprint arrays would take 8 MiB each
+    filt = CuckooFilter(FilterParams(capacity=100_000, block_size=8, fingerprint_bits=16))
+    assert filt.insert_many(np.arange(100_000, dtype=np.uint64)) == 100_000
+    loaded = CuckooFilter.from_bytes(filt.to_bytes())
+    probes = np.random.default_rng(8).integers(0, hashing.MASK64, 1 << 20, dtype=np.uint64, endpoint=True)
+    tracemalloc.start()
+    try:
+        hits = loaded.query_many(probes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    sample = probes[:: 1 << 12].tolist()
+    assert hits[:: 1 << 12].tolist() == [filt.query(encode_u64(value)) for value in sample]
+
+
 # -- adversarial lanes for the whole-word match ------------------------------
 
 # (block size, fingerprint bits, variant): two words with no straddle,
@@ -262,7 +290,7 @@ def place(filt: CuckooFilter, cell: int, lanes: list[int]) -> None:
         assert filt.insert_hashed(cell, value) is InsertOutcome.STORED
     for value in stand_ins.values():
         assert filt._remove_from_cell(cell, value)
-    assert filt._cells[cell] == sum(value << slot * f for slot, value in enumerate(lanes))
+    assert cell_ints(filt)[cell] == sum(value << slot * f for slot, value in enumerate(lanes))
 
 
 def lane_positions(block_size: int, fingerprint_bits: int) -> list[int]:
@@ -339,23 +367,24 @@ class Homes:
 
 def afresh(filt: CuckooFilter) -> bytes:
     """to_bytes() through a view zeroed and re-encoded from every cell int."""
+    cell_ints(filt)  # before the view they would be built from is zeroed
     filt._rows[:] = 0
     filt._stale[:] = b"\x01" * len(filt._stale)
     return filt.to_bytes()
 
 
-def view_pair(block_size: int, fingerprint_bits: int) -> tuple:
+def view_pair(block_size: int, fingerprint_bits: int, load: float = 0.3) -> tuple:
     """A filter restored by from_bytes that has served a batch, and its twin.
 
-    Both hold the same members at load ~0.3, one subtable, stash 4.  The
-    twin is read only through afresh.
+    Both hold the same members at the given load, one subtable, stash 4.
+    The twin is read only through afresh.
     """
     params = FilterParams(
         capacity=1000, block_size=block_size, fingerprint_bits=fingerprint_bits,
         stash_capacity=4, seed=block_size * 1000 + fingerprint_bits,
     )
     twin = CuckooFilter(params)
-    members = FILL_BASE + np.arange(int(0.3 * params.total_slots), dtype=np.uint64)
+    members = FILL_BASE + np.arange(int(load * params.total_slots), dtype=np.uint64)
     assert twin.insert_many(members) == members.size
     subject = CuckooFilter.from_bytes(afresh(twin))
     assert subject.query_many(members).all()
@@ -407,9 +436,9 @@ def test_view_stays_current_after_every_kind_of_write(block_size, fingerprint_bi
     for cell in candidates:
         written += fill_cell(filters, homes, cell)
     check("candidate cells filled")
-    before = list(subject._cells)
+    before = list(cell_ints(subject))
     assert each(lambda filt: filt.insert(encode_u64(evicting))) is InsertOutcome.STORED
-    moved = {cell for cell, old in enumerate(before) if subject._cells[cell] != old}
+    moved = {cell for cell, old in enumerate(before) if cell_ints(subject)[cell] != old}
     assert len(moved) >= 2 and candidates & moved, "the insert did not evict"
     written.append(evicting)
     check("evicting insert")
@@ -420,7 +449,7 @@ def test_view_stays_current_after_every_kind_of_write(block_size, fingerprint_bi
     written += fillers[1:]
     check("cell filled")
     assert each(lambda filt: filt.delete(encode_u64(fillers[0])))
-    assert subject._cells[holed] >> subject._occupancy[holed] * fingerprint_bits, "no hole"
+    assert cell_ints(subject)[holed] >> subject._occupancy[holed] * fingerprint_bits, "no hole"
     check("delete leaving a hole")
 
     # a stash insert: with a budget of the two candidate cells alone there is no search
@@ -491,17 +520,17 @@ def test_view_reencodes_only_the_cells_written():
         fill_cell((subject,), homes, cell)
     subject.query_many(probes)
     assert set(encoded.take()) == candidates
-    before = list(subject._cells)
+    before = list(cell_ints(subject))
     subject.insert(encode_u64(evicting))
-    path = {cell for cell, old in enumerate(before) if subject._cells[cell] != old}
+    path = {cell for cell, old in enumerate(before) if cell_ints(subject)[cell] != old}
     assert len(path) >= 2 and candidates & path, "the insert did not evict"
     subject.query_many(probes)
     assert sorted(encoded.take()) == sorted(path), "evicting insert"
 
     # insert_many flags each cell it appends to, and those it reaches through insert_hashed
-    before = list(subject._cells)
+    before = list(cell_ints(subject))
     subject.insert_many(np.arange(3 * FILL_BASE, 3 * FILL_BASE + 100, dtype=np.uint64))
-    changed = [cell for cell, old in enumerate(before) if subject._cells[cell] != old]
+    changed = [cell for cell, old in enumerate(before) if cell_ints(subject)[cell] != old]
     subject.to_bytes()
     assert sorted(encoded.take()) == changed, "insert_many"
     subject.to_bytes()
@@ -551,15 +580,65 @@ def test_reads_inside_insert_many_see_a_current_view():
     assert subject.query_many(values).all()
 
 
+# -- cell ints built on first scalar use ------------------------------------
+
+# one, two and three wire words; slot 6 straddles two words at b=7 and b=13
+LOADED_GEOMETRIES = [(4, 10), (7, 10), (13, 10)]
+
+
+@pytest.mark.parametrize("block_size,fingerprint_bits", LOADED_GEOMETRIES)
+def test_load_query_save_leaves_the_cells_unbuilt(block_size, fingerprint_bits):
+    filt, members = stashed_filter(block_size, fingerprint_bits, 2000)
+    payload = filt.to_bytes()
+    loaded = CuckooFilter.from_bytes(payload)
+    absent = np.arange(5 * FILL_BASE, 5 * FILL_BASE + 2000, dtype=np.uint64)
+    assert loaded.query_many(np.array(members, dtype=np.uint64)).all()  # the stashed member too
+    assert loaded.query_many(absent).tolist() == filt.query_many(absent).tolist()
+    assert loaded.to_bytes() == payload
+    assert loaded._cells is None
+
+
+FIRST_CALLS = {
+    "query": lambda filt, members, new: [filt.query(encode_u64(v)) for v in (int(members[7]), int(new[0]))],
+    "insert": lambda filt, members, new: [filt.insert(encode_u64(v)) for v in new.tolist()],
+    "insert_many": lambda filt, members, new: filt.insert_many(new),
+    "delete": lambda filt, members, new: [filt.delete(encode_u64(v)) for v in members[::9].tolist()],
+}
+
+
+@pytest.mark.parametrize("call", sorted(FIRST_CALLS))
+@pytest.mark.parametrize("block_size,fingerprint_bits", LOADED_GEOMETRIES)
+def test_first_scalar_call_on_a_loaded_filter(block_size, fingerprint_bits, call):
+    # at load 0.85 some of the inserts evict
+    loaded, twin, members = view_pair(block_size, fingerprint_bits, 0.85)
+    assert loaded._cells is None
+    new = np.arange(3 * FILL_BASE, 3 * FILL_BASE + 64, dtype=np.uint64)
+    first = FIRST_CALLS[call]
+    assert first(loaded, members, new) == first(twin, members, new)
+    assert loaded._cells is not None
+    assert loaded.stored_count == twin.stored_count
+    assert loaded.to_bytes() == afresh(twin)
+
+
 # every method that stores into the cell ints; each but _load_table, which
-# derives them from the view, flags the cells it writes
-CELL_WRITERS = {"insert_hashed", "insert_many", "_remove_from_cell", "_load_table"}
+# unbuilds them, and _cell_ints, which builds them from the view, flags the
+# cells it writes
+CELL_WRITERS = {"insert_hashed", "insert_many", "_remove_from_cell", "_load_table", "_cell_ints"}
+# every method that reads the cell ints, each through the accessor
+CELL_READERS = {"insert_hashed", "insert_many", "_evict_path", "_cell_contains", "_find_slot",
+                "_remove_from_cell", "_table_bytes"}
+ACCESSOR = ast.dump(ast.parse("self._cells or self._cell_ints()", mode="eval").body)
 LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
                  "__setitem__", "__delitem__", "__iadd__"}
 
 
 def _cell_stores(function: ast.FunctionDef, attr: str = "_cells") -> bool:
     """Whether a function stores into (or rebinds) the list or buffer `attr`."""
+    def is_attr(node: ast.expr) -> bool:
+        if isinstance(node, ast.BoolOp):  # the accessor, `self._cells or self._cell_ints()`
+            node = node.values[0]
+        return isinstance(node, ast.Attribute) and node.attr == attr
+
     aliases = set()
     for node in ast.walk(function):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -567,16 +646,13 @@ def _cell_stores(function: ast.FunctionDef, attr: str = "_cells") -> bool:
             if isinstance(node.targets[0], ast.Tuple) and isinstance(node.value, ast.Tuple):
                 pairs = zip(node.targets[0].elts, node.value.elts)
             for target, value in pairs:
-                if isinstance(target, ast.Name) and isinstance(value, ast.Attribute) and value.attr == attr:
+                if isinstance(target, ast.Name) and is_attr(value):
                     aliases.add(target.id)
-        elif isinstance(node, ast.NamedExpr) and isinstance(node.value, ast.Attribute):
-            if node.value.attr == attr:
-                aliases.add(node.target.id)
+        elif isinstance(node, ast.NamedExpr) and is_attr(node.value):
+            aliases.add(node.target.id)
 
     def is_cells(node: ast.expr) -> bool:
-        return (isinstance(node, ast.Attribute) and node.attr == attr) or (
-            isinstance(node, ast.Name) and node.id in aliases
-        )
+        return is_attr(node) or (isinstance(node, ast.Name) and node.id in aliases)
 
     for node in ast.walk(function):
         if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -592,24 +668,46 @@ def _cell_stores(function: ast.FunctionDef, attr: str = "_cells") -> bool:
     return False
 
 
-def test_only_known_writers_store_into_the_cells():
+def _filter_functions() -> list[ast.FunctionDef]:
     tree = ast.parse(Path(filter_module.__file__).read_text())
-    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def test_only_known_writers_store_into_the_cells():
+    functions = _filter_functions()
     writers = {function.name for function in functions if _cell_stores(function)}
     assert writers == CELL_WRITERS
     flagging = {function.name for function in functions if _cell_stores(function, "_stale")}
-    assert CELL_WRITERS - {"_load_table"} <= flagging
+    assert CELL_WRITERS - {"_load_table", "_cell_ints"} <= flagging
+
+
+def test_cell_ints_are_read_only_through_the_accessor():
+    # a direct read of self._cells would meet None on a loaded filter
+    # before its first scalar call
+    direct, through_accessor = set(), set()
+    for function in _filter_functions():
+        accessors = [node for node in ast.walk(function)
+                     if isinstance(node, ast.BoolOp) and ast.dump(node) == ACCESSOR]
+        if accessors:
+            through_accessor.add(function.name)
+        allowed = {id(node.values[0]) for node in accessors}
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Attribute) and node.attr == "_cells"
+                    and isinstance(node.ctx, ast.Load) and id(node) not in allowed):
+                direct.add(function.name)
+    assert direct == set()
+    assert through_accessor == CELL_READERS
 
 
 def test_concurrent_readers_see_a_current_view():
-    # readers with no writer may race to refresh or build the view; each
-    # must still read the whole current table
+    # readers with no writer may race to refresh or build the view, or to
+    # build the cell ints; each must still read the whole current table
     subject, twin, members = view_pair(4, 12)
     probes = members[:2000]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for round_ in range(17):
+        for round_ in range(20):
             values = np.arange(3 * FILL_BASE + 500 * round_, 3 * FILL_BASE + 500 * (round_ + 1),
                                dtype=np.uint64)
             if round_ == 16:
@@ -618,12 +716,26 @@ def test_concurrent_readers_see_a_current_view():
                 params = replace(twin.params, fingerprint_bits=14)
                 subject, twin = CuckooFilter(params), CuckooFilter(params)
                 values = probes = np.arange(4 * FILL_BASE, 4 * FILL_BASE + 16000, dtype=np.uint64)
-            for filt in (subject, twin):
-                if round_ % 4 == 3:
-                    filt.insert_many(values)  # flagged appends: the readers refresh them
-                else:
-                    for value in values.tolist():  # flagged cells: the readers refresh them
-                        filt.insert(encode_u64(value))
+            if round_ >= 17:
+                # three times, a subject fresh from from_bytes at load ~0.5 with
+                # slot 4 across the two words of a block and slots 5-7 in the
+                # second: the readers race to build the cell ints on their first
+                # scalar reads
+                params = replace(twin.params, block_size=8)
+                twin = CuckooFilter(params)
+                probes = np.arange(4 * FILL_BASE, 4 * FILL_BASE + 64000, dtype=np.uint64)
+                assert twin.insert_many(probes) == probes.size
+                subject = CuckooFilter.from_bytes(twin.to_bytes())
+                assert subject._cells is None
+                absent = np.arange(5 * FILL_BASE, 5 * FILL_BASE + 200, dtype=np.uint64).tolist()
+                expected_absent = [twin.query(encode_u64(value)) for value in absent]
+            else:
+                for filt in (subject, twin):
+                    if round_ % 4 == 3:
+                        filt.insert_many(values)  # flagged appends: the readers refresh them
+                    else:
+                        for value in values.tolist():  # flagged cells: the readers refresh them
+                            filt.insert(encode_u64(value))
             expected = afresh(twin)
             reads = []
             start = threading.Barrier(6, timeout=60)
@@ -632,7 +744,11 @@ def test_concurrent_readers_see_a_current_view():
                 # a batch read hashes its probes first, so it reaches the view
                 # while the other readers are inside theirs
                 start.wait()
-                if batch_first:
+                if round_ >= 17:
+                    hits = all([subject.query(encode_u64(value)) for value in probes[::32].tolist()])
+                    scalar = [subject.query(encode_u64(value)) for value in absent]
+                    reads.append((subject.to_bytes() == expected and scalar == expected_absent, hits))
+                elif batch_first:
                     hits = bool(subject.query_many(probes).all())
                     reads.append((subject.to_bytes() == expected, hits))
                 else:
@@ -646,5 +762,6 @@ def test_concurrent_readers_see_a_current_view():
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert reads == [(True, True)] * len(threads), round_
+        assert subject._cells == twin._cells
     finally:
         sys.setswitchinterval(interval)

@@ -10,7 +10,10 @@ queries and round trips also meet holes and evictions in multi-word blocks.
 The ``bulk_fill`` rule runs the same runs through ``insert_many`` and checks
 it against a scalar insert loop on a copy, in whatever state the table is.
 An invariant reads the wire-table view after every step, so every later
-kind of write meets a view and must flag the cells it writes.
+kind of write meets a view and must flag the cells it writes.  A filter
+fresh from ``from_bytes`` has no cell ints until its first scalar call,
+and the invariants build them; the ``reload_and_write`` rule writes to a
+reloaded filter before any invariant runs, so that first call is a write.
 """
 
 from collections import Counter
@@ -96,6 +99,15 @@ class FilterMachine(RuleBasedStateMachine):
         restored = CuckooFilter.from_bytes(payload)
         assert restored.to_bytes() == payload
         self.filt = restored
+
+    @rule(data=st.data(), start=VALUES, count=st.integers(1, 64))
+    def reload_and_write(self, data, start, count):
+        self.round_trip()
+        assert self.filt._cells is None
+        if self.live and data.draw(st.booleans(), label="delete"):
+            self.delete(data, count)
+        else:
+            self.bulk_fill(start, count)
 
     @invariant()
     def counts_match(self):
