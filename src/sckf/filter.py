@@ -14,7 +14,9 @@ the home cell or its alternate:
 
 A cell is named by its global index ``subtable << f | local``; the filter
 and ``hash_element`` / ``alt_location`` share one implementation of this
-addressing.  Elements are ``bytes`` or ``bytearray``, else TypeError.
+addressing.  Elements are ``bytes`` or ``bytearray``, else TypeError.  A
+scalar insert, query or delete makes one hash call: ``hashing.hash_bytes``
+returns the home and fingerprint hashes together, from two seeds.
 
 Each cell is one Python int that holds slot k at bits [k*f, (k+1)*f):
 exactly the cell's block in the v1 wire format.  A block is probed for a
@@ -237,9 +239,8 @@ class _Addressing:
     def _hash(self, element: bytes) -> tuple[int, int]:
         if not isinstance(element, (bytes, bytearray)):
             raise TypeError(f"elements must be bytes or bytearray, not {type(element).__name__}")
-        home = hashing.hash_bytes(element, self._seed_home) % self._n_cells
-        fp = hashing.hash_bytes(element, self._seed_fp) % self._fp_mask + 1
-        return home, fp
+        home, fp = hashing.hash_bytes(element, self._seed_home, self._seed_fp)
+        return home % self._n_cells, fp % self._fp_mask + 1
 
     def _alt(self, cell: int, fingerprint: int) -> int:
         if self._simplified:
@@ -363,7 +364,7 @@ class CuckooFilter(_Addressing):
         slot = occ
         if stored >> occ * f:
             # a delete left a hole below slot occ: fill the lowest
-            slot = self._find_slot(cell, 0)
+            slot = bitmatch.find_fingerprint(stored, 0, self._lane_const, f)
         # else slots [0, occ) are full and the rest empty: append at occ
         occupancy[cell] = occ + 1
         self._table_count += 1
@@ -425,7 +426,10 @@ class CuckooFilter(_Addressing):
     def query(self, element: bytes) -> bool:
         """Membership check: never false for a stored element."""
         home, fp = self._hash(element)
-        if self._cell_contains(home, fp) or self._cell_contains(self._alt(home, fp), fp):
+        cells = self._cells or self._cell_ints()
+        lane_const, f = self._lane_const, self._f
+        if (bitmatch.match_bits(cells[home], fp, lane_const, f)
+                or bitmatch.match_bits(cells[self._alt(home, fp)], fp, lane_const, f)):
             return True
         return self._stash_contains(home, fp)
 
@@ -524,14 +528,6 @@ class CuckooFilter(_Addressing):
         local = cell & self._fp_mask
         return min(local, local ^ fingerprint)
 
-    def _cell_contains(self, cell: int, fingerprint: int) -> bool:
-        return bitmatch.match_bits((self._cells or self._cell_ints())[cell], fingerprint,
-                                   self._lane_const, self._f) != 0
-
-    def _find_slot(self, cell: int, fingerprint: int) -> int | None:
-        return bitmatch.find_fingerprint((self._cells or self._cell_ints())[cell], fingerprint,
-                                         self._lane_const, self._f)
-
     def _slot_values(self, columns: list[np.ndarray], slot: int) -> np.ndarray:
         """One slot of many blocks given as uint64 arrays of their wire words.
 
@@ -546,10 +542,10 @@ class CuckooFilter(_Addressing):
         return values
 
     def _remove_from_cell(self, cell: int, fingerprint: int) -> bool:
-        slot = self._find_slot(cell, fingerprint)
+        cells = self._cells or self._cell_ints()
+        slot = bitmatch.find_fingerprint(cells[cell], fingerprint, self._lane_const, self._f)
         if slot is None:
             return False
-        cells = self._cells or self._cell_ints()
         cells[cell] = bitmatch.write_lane(cells[cell], slot, self._f, 0)
         self._stale[cell] = 1
         self._occupancy[cell] -= 1
@@ -578,6 +574,8 @@ class CuckooFilter(_Addressing):
         cells = self._cells or self._cell_ints()
         occupancy = self._occupancy
         budget = self.params.max_evictions
+        # the simplified alternate inline; the original keeps _alt's offset memo
+        simplified, alt_of = self._simplified, self._alt
         level = sorted((home, alt))
         came_from = dict.fromkeys(level)
         while level:
@@ -588,7 +586,8 @@ class CuckooFilter(_Addressing):
                 for slot in range(block):
                     if len(came_from) >= budget:
                         break
-                    neighbor = self._alt(cell, stored & mask)
+                    fp = stored & mask
+                    neighbor = cell ^ fp if simplified else alt_of(cell, fp)
                     stored >>= f
                     if neighbor in came_from:
                         continue
@@ -751,7 +750,17 @@ class CuckooFilter(_Addressing):
             if padded.size:
                 raise SerializationError(f"nonzero padding bits in block {padded[0]}")
         occupancy = np.zeros(self._n_cells, dtype=np.uint8)
-        for slot in range(self._block_size):
+        # per word, the top bit of each nonzero whole lane: with L and H a
+        # lane's bottom and top bits, its low bits plus H - L reach its top
+        # bit iff they are nonzero, and | x adds the top bit itself
+        for x, low, high in zip(columns, self._word_lows, self._word_highs):
+            if low:
+                t = x & ~high
+                t += high - low
+                t |= x
+                t &= high
+                occupancy += np.bitwise_count(t)
+        for slot in self._straddling:
             occupancy += self._slot_values(columns, slot) != 0
         self._occupancy = bytearray(occupancy.tobytes())
         self._table_count = int(occupancy.sum())

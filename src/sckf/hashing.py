@@ -5,6 +5,19 @@ and with full avalanche on all 64 output bits.  Byte strings are folded in
 8-byte little-endian chunks, and the input length is mixed in last so that
 trailing zero bytes change the hash.
 
+``hash_bytes`` hashes a byte string under two seeds at once, as one scalar
+operation needs a home cell and a fingerprint: the two chains run as the
+128-bit lanes of one Python int, lane a at bits [0, 128) and lane b at
+[128, 256), so each step of the chain is one big-int operation over both.
+A lane keeps its 64-bit value in its low half, and no step lets one lane
+reach the other's value.  A right shift (by at most 31) moves lane b's
+low bits into lane a's high half, at bit 97 or above.  An addition to a
+lane's value carries at most into bit 64 of the lane, which no shift
+reaches.  The mask ``MASK64`` per lane clears both high halves after each
+addition and before each multiply, and the product of a masked lane and a
+64-bit constant stays below bit 128 of its lane.  So each lane equals the
+one-seed chain bit for bit.
+
 The ``*_many`` variants run the identical arithmetic on numpy uint64 arrays
 (wrapping multiplication matches the scalar mod-2^64 behaviour bit for bit);
 they exist so experiments can hash millions of elements without a Python
@@ -21,6 +34,11 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
+
+# hash_bytes' two-lane forms: a value times _LANES sits in both lanes
+_LANES = 1 << 128 | 1
+_MASK_LANES = MASK64 * _LANES
+_GOLDEN_LANES = _GOLDEN * _LANES
 
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MULT1_U64 = np.uint64(_MULT1)
@@ -40,16 +58,29 @@ def mix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def hash_bytes(data: bytes, seed: int) -> int:
-    """Hash an arbitrary byte string to a uniform 64-bit value."""
-    h = seed & MASK64
-    for i in range(0, len(data), 8):
-        h = mix64(h ^ int.from_bytes(data[i : i + 8], "little"))
-    return mix64(h ^ len(data))
+def hash_bytes(data: bytes, seed_a: int, seed_b: int) -> tuple[int, int]:
+    """Hash an arbitrary byte string to two uniform 64-bit values, one per seed.
+
+    Each value is the chain h = mix64(h ^ word) over the 8-byte LE words of
+    data from h = seed, closed by mix64(h ^ len(data)); both chains run as
+    the two lanes of one int (see the module docstring).
+    """
+    z = (seed_a & MASK64) | (seed_b & MASK64) << 128
+    n = len(data)
+    for i in range(0, n + 8, 8):
+        # the words of data, then its length as the closing word
+        word = int.from_bytes(data[i : i + 8], "little") if i < n else n
+        z = (z ^ word * _LANES) + _GOLDEN_LANES & _MASK_LANES
+        z ^= z >> 30
+        z = (z & _MASK_LANES) * _MULT1 & _MASK_LANES
+        z ^= z >> 27
+        z = (z & _MASK_LANES) * _MULT2 & _MASK_LANES
+        z ^= z >> 31
+    return z & MASK64, z >> 128
 
 
 def hash_u64(value: int, seed: int) -> int:
-    """Hash one 64-bit value; equals hash_bytes() of its 8-byte LE encoding."""
+    """Hash one 64-bit value; equals hash_bytes() of its 8-byte LE encoding under this seed."""
     return mix64(mix64((seed ^ value) & MASK64) ^ 8)
 
 

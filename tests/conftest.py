@@ -1,13 +1,22 @@
-"""Shared test helpers: element encoding, the loop oracles for the lane
-matcher (scalar and numpy), a numpy lane matcher, an independent table
-oracle, and the per-insert reference for bulk fills."""
+"""Shared test helpers: element encoding, the one-seed byte hash, the
+loop oracles for the lane matcher (scalar and numpy), a numpy lane
+matcher, an independent table oracle, and the per-insert reference for
+bulk fills."""
 
 import random
 
 import numpy as np
 
 from sckf.filter import InsertOutcome
-from sckf.hashing import encode_u64
+from sckf.hashing import MASK64, encode_u64, mix64
+
+
+def hash_bytes_one_seed(data: bytes, seed: int) -> int:
+    """Reference for each lane of hashing.hash_bytes: one seed, one chain."""
+    h = seed & MASK64
+    for i in range(0, len(data), 8):
+        h = mix64(h ^ int.from_bytes(data[i : i + 8], "little"))
+    return mix64(h ^ len(data))
 
 
 def lanes_per_word(width: int) -> int:

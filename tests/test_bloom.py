@@ -13,8 +13,8 @@ from sckf.hashing import MASK64, encode_u64, hash_bytes
 
 
 def probe_indexes(bloom: BloomFilter, element: bytes) -> list[int]:
-    a = hash_bytes(element, bloom._seed_a)
-    step = hash_bytes(element, bloom._seed_b) % bloom.num_bits or 1
+    a, b = hash_bytes(element, bloom._seed_a, bloom._seed_b)
+    step = b % bloom.num_bits or 1
     return [((a + i * step) & MASK64) % bloom.num_bits for i in range(bloom.num_hashes)]
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import HEADER_SIZE, BlockedCuckooTable, counters, insert_each, wire_blocks
 from sckf import filter as filter_module
-from sckf import planner
+from sckf import hashing, planner
 from sckf.bloom import BloomFilter
 from sckf.filter import (
     CellIndex,
@@ -115,6 +115,28 @@ def test_hash_element_ranges_and_determinism():
         assert 1 <= fp < 1 << 9
         seen_subtables.add(location.subtable)
     assert seen_subtables == set(range(5))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_each_scalar_operation_hashes_its_element_once(variant, monkeypatch):
+    hashed = []
+    two_lane_hash = hashing.hash_bytes
+
+    def counted(data, seed_a, seed_b):
+        hashed.append(data)
+        return two_lane_hash(data, seed_a, seed_b)
+
+    monkeypatch.setattr(hashing, "hash_bytes", counted)
+    filt = make_filter(variant=variant)
+    present, absent = encode_u64(7), encode_u64(8)
+    operations = [
+        (filt.insert, present), (filt.query, present), (filt.query, absent), (filt.delete, present),
+        (filt.delete, absent), (lambda element: hash_element(element, filt.params), present),
+    ]
+    for operation, element in operations:
+        hashed.clear()
+        operation(element)
+        assert hashed == [element], operation
 
 
 def test_alt_location_is_involution_and_stays_in_subtable():

@@ -1,9 +1,12 @@
 """Hash primitive: determinism, encoding equivalence, and uniformity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import hash_bytes_one_seed
 from sckf import hashing
 
 
@@ -15,18 +18,51 @@ def test_mix64_is_deterministic_and_spreads():
 
 
 def test_hash_bytes_distinguishes_length_and_content():
-    assert hashing.hash_bytes(b"a", 7) != hashing.hash_bytes(b"a\x00", 7)
-    assert hashing.hash_bytes(b"", 7) != hashing.hash_bytes(b"\x00", 7)
-    assert hashing.hash_bytes(b"abcdefgh1", 7) != hashing.hash_bytes(b"abcdefgh2", 7)
-    assert hashing.hash_bytes(b"payload", 1) != hashing.hash_bytes(b"payload", 2)
+    # in both lanes: each pair differs under seed 7 whichever lane holds it
+    for seeds in ((7, 3), (3, 7)):
+        lane = seeds.index(7)
+        assert hashing.hash_bytes(b"a", *seeds)[lane] != hashing.hash_bytes(b"a\x00", *seeds)[lane]
+        assert hashing.hash_bytes(b"", *seeds)[lane] != hashing.hash_bytes(b"\x00", *seeds)[lane]
+        assert (hashing.hash_bytes(b"abcdefgh1", *seeds)[lane]
+                != hashing.hash_bytes(b"abcdefgh2", *seeds)[lane])
+    a, b = hashing.hash_bytes(b"payload", 1, 2)
+    assert a != b
+    assert hashing.hash_bytes(b"payload", 2, 1) == (b, a)
 
 
 def test_hash_u64_matches_byte_encoding():
     for seed in (0, 1, 2**63):
         for value in (0, 1, 255, 2**32, hashing.MASK64):
-            assert hashing.hash_u64(value, seed) == hashing.hash_bytes(
-                hashing.encode_u64(value), seed
-            )
+            data = hashing.encode_u64(value)
+            expected = hashing.hash_u64(value, seed), hashing.hash_u64(value, 5)
+            assert hashing.hash_bytes(data, seed, 5) == expected
+            assert hashing.hash_bytes(data, 5, seed) == expected[::-1]
+
+
+# hashed in pairs (PIN_SEEDS[i], PIN_SEEDS[-1 - i]), so each seed runs in
+# both lanes: the edges 0, 1, 2^63 and 2^64 - 1 beside random ones
+PIN_SEEDS = [0, 1, 1 << 63, hashing.MASK64, 0xB9096A04E7D80068, 0xC963CFE0AFAE5A3B, 0xE1454C40C439F34A]
+PIN_DATA = bytes((151 * i + 89) & 0xFF for i in range(40))
+# SHA-256 of the one-seed hashes of PIN_DATA[:n] for n in 0..40, per
+# length each seed pair's two hashes as 8-byte LE, recorded with the
+# one-seed hash_bytes before the two-lane form replaced it
+PIN_DIGEST = "ed0a1693aa7e617d4a9bdcb8eec479360d670cc453120abad8f8b2e37108c716"
+
+
+def test_hash_bytes_lanes_match_the_one_seed_hash():
+    digest = hashlib.sha256()
+    for length in range(len(PIN_DATA) + 1):
+        data = PIN_DATA[:length]
+        for seed_a, seed_b in zip(PIN_SEEDS, reversed(PIN_SEEDS)):
+            a, b = hashing.hash_bytes(data, seed_a, seed_b)
+            assert (a, b) == (hash_bytes_one_seed(data, seed_a), hash_bytes_one_seed(data, seed_b))
+            digest.update(a.to_bytes(8, "little") + b.to_bytes(8, "little"))
+    assert digest.hexdigest() == PIN_DIGEST
+    # seeds past 64 bits, negative ones and bytearrays hash as the oracle does
+    for seed_a, seed_b in ((1 << 64 | 5, -1), (-(1 << 70), 1 << 200)):
+        data = bytearray(PIN_DATA[:17])
+        assert hashing.hash_bytes(data, seed_a, seed_b) == (
+            hash_bytes_one_seed(data, seed_a), hash_bytes_one_seed(data, seed_b))
 
 
 def test_vectorized_hash_matches_scalar():

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import wire_blocks
 from sckf import filter as filter_module
 from sckf import hashing
 from sckf.filter import (
@@ -141,6 +142,31 @@ def test_multiword_padding_bits_rejected(block_size, fingerprint_bits):
     payload[HEADER_SIZE + 15] |= 0x80
     with pytest.raises(SerializationError, match="padding"):
         CuckooFilter.from_bytes(bytes(payload))
+
+
+# (b, f, subtables): two words of 4 whole lanes at b=8, f=16; slots across
+# two words at b=13, f=12; 32 lanes a word at b=255, f=2; 7 subtables at
+# b=4, f=12; and at b=7, f=10 a last word that holds no whole lane (its lane
+# constant is 0), as at b=3, f=30, whose 2^30 cells need about 28 GB
+OCCUPANCY_GEOMETRIES = [(8, 16, 1), (13, 12, 1), (7, 10, 1), (255, 2, 1), (4, 12, 7)]
+
+
+@pytest.mark.parametrize("block_size,fingerprint_bits,subtables", OCCUPANCY_GEOMETRIES)
+def test_loaded_occupancy_equals_the_per_slot_count(block_size, fingerprint_bits, subtables):
+    params = FilterParams(capacity=1000, block_size=block_size, fingerprint_bits=fingerprint_bits,
+                          num_subtables=subtables, seed=block_size * 1000 + fingerprint_bits)
+    filt = CuckooFilter(params)
+    members = FILL_BASE + np.arange(int(0.6 * params.total_slots), dtype=np.uint64)
+    landed = filt.insert_many(members)
+    for value in members[:landed:3].tolist():
+        assert filt.delete(encode_u64(value))
+    blocks = wire_blocks(filt)
+    # a hole: an empty slot below an occupied one
+    assert any(sorted(block, key=lambda value: not value) != block for block in blocks)
+    loaded = CuckooFilter.from_bytes(filt.to_bytes())
+    per_slot = [sum(1 for value in block if value) for block in blocks]
+    assert list(loaded._occupancy) == per_slot == list(filt._occupancy)
+    assert loaded.stored_count == filt.stored_count == sum(per_slot)
 
 
 def _golden_b4_f12_stash() -> CuckooFilter:
@@ -625,8 +651,8 @@ def test_first_scalar_call_on_a_loaded_filter(block_size, fingerprint_bits, call
 # cells it writes
 CELL_WRITERS = {"insert_hashed", "insert_many", "_remove_from_cell", "_load_table", "_cell_ints"}
 # every method that reads the cell ints, each through the accessor
-CELL_READERS = {"insert_hashed", "insert_many", "_evict_path", "_cell_contains", "_find_slot",
-                "_remove_from_cell", "_table_bytes"}
+CELL_READERS = {"insert_hashed", "insert_many", "query", "_evict_path", "_remove_from_cell",
+                "_table_bytes"}
 ACCESSOR = ast.dump(ast.parse("self._cells or self._cell_ints()", mode="eval").body)
 LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
                  "__setitem__", "__delitem__", "__iadd__"}
