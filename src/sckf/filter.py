@@ -28,7 +28,7 @@ slot ``occupancy`` without a lane search when the bits from there up are
 zero, and otherwise fills the lowest empty slot.  Both pick the same slot.
 ``insert_many`` runs that append in place for a whole counter batch, in
 the home cell or, when the home is full, in the alternate; a cell with a
-hole and a pair of full cells go to ``insert_hashed``.
+hole and a pair of full cells go to ``_place``, insert_hashed's slow path.
 
 Batch queries and ``to_bytes`` read a view of the table beside the cell
 ints: the v1 wire table as a ``(num_cells, words)`` uint64 array,
@@ -47,9 +47,13 @@ extracted on its own.
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
 ValueError and non-integers a TypeError.
 
-Inserts that cannot be placed even after a bounded breadth-first eviction
-search overflow into a small per-subtable stash (simplified variant only);
-when the stash is full too, the insert fails and the filter is untouched.
+When both candidates are full, a bounded breadth-first eviction search
+(Li et al., EuroSys 2014) finds the nearest cell with room and shifts the
+fingerprints on the path; when the budget covers its first level, a scan
+of that level alone runs first and makes the same depth-1 move in place.
+Inserts that cannot be placed even so overflow into a small per-subtable
+stash (simplified variant only); when the stash is full too, the insert
+fails and the filter is untouched.
 
 Queries never report a stored element as absent.  False positives occur at
 a rate bounded by ``2n / (num_cells * (2**fingerprint_bits - 1))``.
@@ -63,6 +67,7 @@ processes.
 """
 
 import enum
+import functools
 import operator
 import os
 import struct
@@ -207,7 +212,7 @@ def hash_element(element: bytes, params: FilterParams) -> tuple[CellIndex, int]:
     reserved to mean an empty slot.  Home cell and fingerprint come from
     independent sub-seeds of the filter seed.
     """
-    home, fp = _Addressing(params)._hash(element)
+    home, fp = _addressing(params)._hash(element)
     return CellIndex(*divmod(home, 1 << params.fingerprint_bits)), fp
 
 
@@ -217,7 +222,7 @@ def alt_location(location: CellIndex, fingerprint: int, params: FilterParams) ->
     if not 1 <= fingerprint < (1 << f):
         raise ValueError(f"fingerprint out of range for {f} bits: {fingerprint}")
     index = (location.subtable << f) | location.local
-    return CellIndex(*divmod(_Addressing(params)._alt(index, fingerprint), 1 << f))
+    return CellIndex(*divmod(_addressing(params)._alt(index, fingerprint), 1 << f))
 
 
 class _Addressing:
@@ -272,6 +277,10 @@ class _Addressing:
         alts += np.uint64(1)
         alts ^= homes
         return alts
+
+
+# hash_element and alt_location's addressing, derived once per FilterParams
+_addressing = functools.lru_cache(maxsize=8)(_Addressing)
 
 
 class CuckooFilter(_Addressing):
@@ -331,7 +340,8 @@ class CuckooFilter(_Addressing):
         like insert() for the element that hashed to these values.  home
         is a global cell index in [0, num_cells) and fingerprint lies in
         [1, 2^fingerprint_bits - 1], else ValueError.  numpy integers are
-        taken as Python ints; other types raise TypeError.
+        taken as Python ints; other types raise TypeError.  The checked
+        pair goes to _place, which insert_many calls directly.
         """
         if type(home) is not int or type(fingerprint) is not int:
             # a numpy fingerprint shifted past bit 63 would wrap to zero
@@ -341,6 +351,10 @@ class CuckooFilter(_Addressing):
                 f"need home in [0, {self._n_cells}) and fingerprint in "
                 f"[1, {self._fp_mask}], got home={home}, fingerprint={fingerprint}"
             )
+        return self._place(home, fingerprint)
+
+    def _place(self, home: int, fingerprint: int) -> InsertOutcome:
+        """insert_hashed on a home and fingerprint already known to be in range."""
         occupancy = self._occupancy
         block = self._block_size
         cell = home
@@ -348,7 +362,12 @@ class CuckooFilter(_Addressing):
         if occupancy[cell] == block:
             cell = alt = self._alt(home, fingerprint)
             if occupancy[cell] == block:
-                cell, came_from = self._evict_path(home, alt)
+                # a budget that covers the BFS's first level: try that level alone
+                moved = self.params.max_evictions >= 2 + 2 * block and self._evict_once(home, alt, fingerprint)
+                if moved:
+                    cell, fingerprint = moved
+                else:
+                    cell, came_from = self._evict_path(home, alt)
         if cell is None:
             # FilterParams allows a stash only on the simplified variant
             stash = self._stashes[home >> self._f]
@@ -390,7 +409,8 @@ class CuckooFilter(_Addressing):
         hash_many(values), stopping at the first FAILED: returns how many
         landed, in table or stash, before it (len(values) when all did).
         values are checked as hashing.counter_batch documents, before any
-        insert.
+        insert; a pair the in-place append cannot take goes to _place
+        without insert_hashed's checks, since hash_many's are in range.
         """
         homes, fps = self.hash_many(values)
         # a batch built just for this call is freed here, not held through
@@ -401,13 +421,14 @@ class CuckooFilter(_Addressing):
         stale = self._stale
         block = self._block_size
         f = self._f
-        alt = self._alt
+        # the simplified alternate inline; the original keeps _alt's offset memo
+        simplified, alt = self._simplified, self._alt
         landed = self.stored_count  # table and stash entries before this batch
         for done, (home, fp) in enumerate(zip(homes.tolist(), fps.tolist())):
             cell = home
             occ = occupancy[cell]
             if occ == block:
-                cell = alt(home, fp)
+                cell = home ^ fp if simplified else alt(home, fp)
                 occ = occupancy[cell]
             shift = occ * f
             stored = cells[cell]
@@ -416,9 +437,9 @@ class CuckooFilter(_Addressing):
                 occupancy[cell] = occ + 1
                 stale[cell] = 1
                 continue
-            # the `done` values before this one all landed: count them before insert_hashed reads
+            # the `done` values before this one all landed: count them before _place reads
             self._table_count = landed + done - self._stash_count
-            if self.insert_hashed(home, fp) is InsertOutcome.FAILED:
+            if self._place(home, fp) is InsertOutcome.FAILED:
                 return done
         self._table_count = landed + len(homes) - self._stash_count
         return len(homes)
@@ -558,6 +579,32 @@ class CuckooFilter(_Addressing):
         entry = (self._canonical_local(home, fingerprint), fingerprint)
         return entry in self._stashes[home >> self._f]
 
+    def _evict_once(self, home: int, alt: int, fingerprint: int) -> tuple[int, int] | None:
+        """_evict_path's depth-1 move, made without its predecessor map.
+
+        The leaf is the BFS's: the lowest-index non-full neighbour of the
+        two full candidates, by its first visit in the BFS order.  Writes
+        ``fingerprint`` into that visit's slot and returns the leaf and the
+        fingerprint it takes; None, writing nothing, when all are full.
+        """
+        block, f, mask = self._block_size, self._f, self._fp_mask
+        cells = self._cells or self._cell_ints()
+        occupancy, simplified, alt_of = self._occupancy, self._simplified, self._alt
+        leaf = self._n_cells
+        for root in (home, alt) if home < alt else (alt, home):
+            stored = cells[root]
+            for slot in range(block):
+                fp = stored & mask
+                neighbor = root ^ fp if simplified else alt_of(root, fp)
+                stored >>= f
+                if neighbor < leaf and occupancy[neighbor] < block:
+                    leaf, source, source_slot, moved = neighbor, root, slot, fp
+        if leaf == self._n_cells:
+            return None
+        cells[source] ^= (moved ^ fingerprint) << source_slot * f
+        self._stale[source] = 1
+        return leaf, moved
+
     def _evict_path(self, home: int, alt: int) -> tuple[int | None, dict]:
         """Breadth-first eviction search from two full candidate cells.
 
@@ -565,8 +612,8 @@ class CuckooFilter(_Addressing):
         whose fingerprint would move into it, each root -> None.  Its size
         is the budget count: max_evictions visited cells, roots included.
         Returns the free leaf cell (None when the search fails) and
-        ``came_from``.  It never writes the table; insert_hashed applies
-        the path.
+        ``came_from``.  It never writes the table; _place applies the
+        path.
         """
         block = self._block_size
         f = self._f

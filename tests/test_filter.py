@@ -1,5 +1,6 @@
 """Filter behaviour: addressing, inserts, queries, deletes, and the stash."""
 
+import dataclasses
 import hashlib
 import random
 import sys
@@ -182,6 +183,28 @@ def test_alt_location_original_variant_involution():
                 assert alt_location(other, fp, params) == location
                 crossed += other.subtable != subtable
     assert crossed > 0, "original variant should reach other subtables"
+
+
+def test_public_addressing_matches_the_filters_own():
+    # hash_element and alt_location keep one addressing per FilterParams:
+    # interleaved geometries, seeds and variants each get their own
+    grid = [
+        FilterParams(capacity=100, block_size=4, fingerprint_bits=f, num_subtables=subtables,
+                     variant=variant, seed=seed)
+        for variant in Variant
+        for f, subtables in ((4, 1), (9, 2), (13, 4))
+        for seed in (0, 3, 2**64 - 1)
+    ]
+    filters = [CuckooFilter(params) for params in grid]
+    for element in counters(0, 40):
+        for params, filt in zip(grid, filters):
+            home, fp = filt._hash(element)
+            location = CellIndex(*divmod(home, 1 << params.fingerprint_bits))
+            assert hash_element(element, params) == (location, fp)
+            alt = alt_location(location, fp, params)
+            assert alt == CellIndex(*divmod(filt._alt(home, fp), 1 << params.fingerprint_bits))
+    # an equal FilterParams finds the cached addressing
+    assert filter_module._addressing(dataclasses.replace(grid[0])) is filter_module._addressing(grid[0])
 
 
 def test_alt_location_rejects_bad_fingerprint():
@@ -571,7 +594,9 @@ def test_eviction_budget_bounds_the_search():
 # InsertOutcome values after inserting counters up to 1.1x the 128 slots of
 # a b=2, f=6 table, recorded from the eviction search before it kept its
 # visited cells in one predecessor map.  Budgets 2, 3 and 17 cut searches
-# off partway through a BFS level; 100 exceeds the 64 cells.
+# off partway through a BFS level; 100 exceeds the 64 cells.  Budgets 5 and
+# 6 (2b + 1 and 2b + 2), recorded before the depth-1 scan, pin its guard:
+# only a budget that covers the roots and all 2b first-level visits runs it.
 GOLDEN_EVICTION_FILLS = {
     (Variant.SIMPLIFIED, 2): (
         "4f74fcc113232f5ef04756c96b09bc6bd606e424c3ed20710f815dcc6109b17f",
@@ -588,6 +613,22 @@ GOLDEN_EVICTION_FILLS = {
     (Variant.SIMPLIFIED, 100): (
         "71bb30ba8e37d478fcb80af53f3807ffe89704bd4784ed362d7604e64655edd0",
         "15bc08ccb7bcbaa6b2072dece9b11900e285b44a7f883f1c66331840e39f1794",
+    ),
+    (Variant.SIMPLIFIED, 5): (
+        "892d0e7426f7d0648b63f4f11076664107620274401f33407dd94ce66b201004",
+        "05cec5dbfbad777b2a383cb13af635b3cae6695720b5c34f0ee1c6c9b77ad6ae",
+    ),
+    (Variant.SIMPLIFIED, 6): (
+        "207288bb482afe3f7e5ff64d4096009e45a20c7a43d247a4a1f1f224cb01278b",
+        "9fe5f027261bbe0dce519c1053fc1dcd718cd5294b006544807fb0c89d05763f",
+    ),
+    (Variant.ORIGINAL, 5): (
+        "ff55f1e04dd45a7ac11fa4ffe7e40d18593a9d4b00d165ed1c36db738e34af51",
+        "6fa09a7f77b3cf80756dc1020744d82dc6572977c92f9c0aa4edf2e14a21ee5a",
+    ),
+    (Variant.ORIGINAL, 6): (
+        "7f266b45852ed587d556f36e10e564963f8d2b2cd945c547aa52d64965d4cdfb",
+        "a214df178d8e8bd8d37ff0a510e5d9b09fe49ae2b8408ce5b6de6c6fd98e29a2",
     ),
     (Variant.ORIGINAL, 17): (
         "a100451646bbaa13f8ba4c88a98b86c33ed71b98a8d848c5efa93af32bc23b70",
@@ -608,6 +649,63 @@ def test_budget_edge_fill_matches_recorded_digest(variant, budget):
     assert hashlib.sha256(filt.to_bytes()).hexdigest() == payload_digest
     joined = ",".join(outcome.value for outcome in outcomes)
     assert hashlib.sha256(joined.encode()).hexdigest() == outcomes_digest
+
+
+# (block_size, fingerprint_bits, num_subtables): one and two wire words, and
+# fingerprints narrow enough that neighbours of the two candidates often
+# coincide, so the depth-1 tie rule decides
+DEPTH1_GEOMETRIES = [(1, 6, 1), (2, 6, 1), (4, 5, 1), (8, 5, 1), (13, 5, 2)]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("block_size,fingerprint_bits,num_subtables", DEPTH1_GEOMETRIES)
+def test_depth1_scan_places_like_the_bfs(block_size, fingerprint_bits, num_subtables, variant):
+    # against a twin whose depth-1 scan always defers to _evict_path
+    stash = 3 if variant is Variant.SIMPLIFIED else 0
+    params = FilterParams(capacity=100, block_size=block_size, fingerprint_bits=fingerprint_bits,
+                          num_subtables=num_subtables, variant=variant, stash_capacity=stash, seed=5)
+    slots = params.total_slots
+    scans = []
+
+    def pair(subject: CuckooFilter, twin: CuckooFilter) -> tuple[CuckooFilter, CuckooFilter]:
+        def scan(home: int, alt: int, fingerprint: int):
+            scans.append(CuckooFilter._evict_once(subject, home, alt, fingerprint))
+            return scans[-1]
+
+        subject._evict_once = scan
+        twin._evict_once = lambda home, alt, fingerprint: None
+        return subject, twin
+
+    def each(call, *args):
+        result = call(subject, *args)
+        assert call(twin, *args) == result
+        assert subject.to_bytes() == twin.to_bytes()
+        return result
+
+    subject, twin = pair(CuckooFilter(params), CuckooFilter(params))
+    outcomes = [each(CuckooFilter.insert, element) for element in counters(0, slots * 6 // 5)]
+    assert InsertOutcome.FAILED in outcomes
+    assert subject.stash_count == stash * num_subtables
+    # holes, then bulk batches that refill three quarters of them
+    for element in counters(0, slots // 2)[::2]:
+        each(CuckooFilter.delete, element)
+    for start in range(2 * slots, 2 * slots + slots * 3 // 16, 4):
+        each(CuckooFilter.insert_many, np.arange(start, start + 4, dtype=np.uint64))
+
+    def both_full(element: bytes) -> bool:
+        home, fp = subject._hash(element)
+        return subject._occupancy[home] == subject._occupancy[subject._alt(home, fp)] == block_size
+
+    # loaded: the first slow insert builds the cell ints in the scan
+    subject, twin = pair(*(CuckooFilter.from_bytes(filt.to_bytes()) for filt in (subject, twin)))
+    evicting = next(element for element in counters(3 * slots, slots) if both_full(element))
+    scanned = len(scans)
+    assert subject._cells is None
+    each(CuckooFilter.insert, evicting)
+    assert len(scans) == scanned + 1
+    for element in counters(4 * slots, slots // 4):
+        each(CuckooFilter.insert, element)
+    assert any(scans) and None in scans
 
 
 def test_behaves_like_direct_blocked_cuckoo_table():
@@ -898,7 +996,7 @@ def _has_hole(block: list[int]) -> bool:
     return 0 in block[: sum(1 for value in block if value)]
 
 
-def test_insert_many_defers_holes_to_insert_hashed():
+def test_insert_many_defers_holes_to_place():
     params = dict(capacity=256, block_size=4, fingerprint_bits=6, num_subtables=1,
                   stash_capacity=4, seed=3)
     filt = make_filter(**params)
@@ -918,9 +1016,9 @@ def test_insert_many_defers_holes_to_insert_hashed():
             slow.append("alternate hole" if _has_hole(blocks[alt]) else "append")
         else:
             slow.append("both full")
-        return CuckooFilter.insert_hashed(filt, home, fp)
+        return CuckooFilter._place(filt, home, fp)
 
-    filt.insert_hashed = spy
+    filt._place = spy
     values = np.arange(1000, 1040, dtype=np.uint64)
     assert filt.insert_many(values) == insert_each(reference, values) == 40
     _assert_same_state(filt, reference)

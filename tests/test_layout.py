@@ -491,7 +491,7 @@ def test_view_stays_current_after_every_kind_of_write(block_size, fingerprint_bi
     written.append(stashed)
     check("stash insert")
 
-    # insert_many: appends, and the hole's cell through insert_hashed
+    # insert_many: appends, and the hole's cell through _place
     batch = np.array(homes.take(holed, 1) + list(range(3 * FILL_BASE, 3 * FILL_BASE + 200)),
                      dtype=np.uint64)
     assert each(lambda filt: filt.insert_many(batch)) == batch.size
@@ -553,7 +553,7 @@ def test_view_reencodes_only_the_cells_written():
     subject.query_many(probes)
     assert sorted(encoded.take()) == sorted(path), "evicting insert"
 
-    # insert_many flags each cell it appends to, and those it reaches through insert_hashed
+    # insert_many flags each cell it appends to, and those it reaches through _place
     before = list(cell_ints(subject))
     subject.insert_many(np.arange(3 * FILL_BASE, 3 * FILL_BASE + 100, dtype=np.uint64))
     changed = [cell for cell, old in enumerate(before) if cell_ints(subject)[cell] != old]
@@ -596,9 +596,9 @@ def test_reads_inside_insert_many_see_a_current_view():
         payload = subject.to_bytes()
         current.append((view == CuckooFilter._table_bytes(subject, range(num_cells)), counted,
                         CuckooFilter.from_bytes(payload).to_bytes() == payload))
-        return CuckooFilter.insert_hashed(subject, home, fp)
+        return CuckooFilter._place(subject, home, fp)
 
-    subject.insert_hashed = spy
+    subject._place = spy
     values = np.arange(3 * FILL_BASE, 3 * FILL_BASE + 2000, dtype=np.uint64)
     assert subject.insert_many(values) == twin.insert_many(values) == values.size
     assert len(current) >= 2 and current == [(True, True, True)] * len(current)
@@ -649,9 +649,10 @@ def test_first_scalar_call_on_a_loaded_filter(block_size, fingerprint_bits, call
 # every method that stores into the cell ints; each but _load_table, which
 # unbuilds them, and _cell_ints, which builds them from the view, flags the
 # cells it writes
-CELL_WRITERS = {"insert_hashed", "insert_many", "_remove_from_cell", "_load_table", "_cell_ints"}
+CELL_WRITERS = {"_place", "_evict_once", "insert_many", "_remove_from_cell", "_load_table",
+                "_cell_ints"}
 # every method that reads the cell ints, each through the accessor
-CELL_READERS = {"insert_hashed", "insert_many", "query", "_evict_path", "_remove_from_cell",
+CELL_READERS = {"_place", "_evict_once", "insert_many", "query", "_evict_path", "_remove_from_cell",
                 "_table_bytes"}
 ACCESSOR = ast.dump(ast.parse("self._cells or self._cell_ints()", mode="eval").body)
 LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
