@@ -96,12 +96,6 @@ def find_fingerprint(word: int, fingerprint: int, lane_constant: int, width: int
     return (low.bit_length() - 1) // width - 1
 
 
-def write_lane(word: int, lane: int, width: int, value: int) -> int:
-    """``word`` with lane ``lane`` overwritten by ``value`` (0 empties it)."""
-    shift = lane * width
-    return (word & ~(((1 << width) - 1) << shift)) | (value << shift)
-
-
 def check_width(width: int) -> None:
     """Refuse a fingerprint (lane) width outside [MIN_WIDTH, MAX_WIDTH]."""
     if not MIN_WIDTH <= as_integer(width, "fingerprint width") <= MAX_WIDTH:

@@ -22,13 +22,14 @@ Each cell is one Python int that holds slot k at bits [k*f, (k+1)*f):
 exactly the cell's block in the v1 wire format.  A block is probed for a
 fingerprint, or for its lowest empty slot, with one bit-parallel lane match
 over the whole int, whatever its width.  A cell's occupied slots are the
-prefix [0, occupancy) unless a delete left a hole (an eviction path is
-applied as slot overwrites, so only a delete can); an insert appends at
-slot ``occupancy`` without a lane search when the bits from there up are
-zero, and otherwise fills the lowest empty slot.  Both pick the same slot.
-``insert_many`` runs that append in place for a whole counter batch, in
-the home cell or, when the home is full, in the alternate; a cell with a
-hole and a pair of full cells go to ``_place``, insert_hashed's slow path.
+prefix [0, occupancy) unless a delete left a hole (an eviction rewrites
+full slots, then inserts at its leaf, so only a delete can); an insert
+appends at slot ``occupancy`` without a lane search when the bits from
+there up are zero, and otherwise fills the lowest empty slot.  Both pick
+the same slot.  ``insert_many`` runs that append in place for a whole
+counter batch, in the home cell or, when the home is full, in the
+alternate; a cell with a hole and a pair of full cells go to ``_place``,
+which insert_hashed calls.
 
 Batch queries and ``to_bytes`` read a view of the table beside the cell
 ints: the v1 wire table as a ``(num_cells, words)`` uint64 array,
@@ -47,13 +48,13 @@ extracted on its own.
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
 ValueError and non-integers a TypeError.
 
-When both candidates are full, a bounded breadth-first eviction search
-(Li et al., EuroSys 2014) finds the nearest cell with room and shifts the
-fingerprints on the path; when the budget covers its first level, a scan
-of that level alone runs first and makes the same depth-1 move in place.
-Inserts that cannot be placed even so overflow into a small per-subtable
-stash (simplified variant only); when the stash is full too, the insert
-fails and the filter is untouched.
+When both candidates are full, ``_evict``'s bounded breadth-first search
+(Li et al., EuroSys 2014) finds the nearest cell with room and writes the
+path itself, root first, each slot swapping its fingerprint for the one
+coming in; it scans a first level that the budget covers without a
+predecessor map.  Inserts that cannot be placed overflow into a small
+per-subtable stash (simplified variant only); when the stash is full too,
+the insert fails and the filter is untouched.
 
 Queries never report a stored element as absent.  False positives occur at
 a rate bounded by ``2n / (num_cells * (2**fingerprint_bits - 1))``.
@@ -217,11 +218,18 @@ def hash_element(element: bytes, params: FilterParams) -> tuple[CellIndex, int]:
 
 
 def alt_location(location: CellIndex, fingerprint: int, params: FilterParams) -> CellIndex:
-    """The other candidate cell for a fingerprint; an involution."""
+    """The other candidate cell for a fingerprint; an involution.
+
+    A cell outside the table or a fingerprint outside [1, 2^f - 1] is a
+    ValueError, a non-integer a TypeError.
+    """
     f = params.fingerprint_bits
-    if not 1 <= fingerprint < (1 << f):
+    subtable, local = (bitmatch.as_integer(value, "cell index") for value in location)
+    if not (0 <= subtable < params.num_subtables and 0 <= local < 1 << f):
+        raise ValueError(f"no cell {location} in {params.num_subtables} subtables of {1 << f} cells")
+    if not 1 <= (fingerprint := bitmatch.as_integer(fingerprint, "fingerprint")) < (1 << f):
         raise ValueError(f"fingerprint out of range for {f} bits: {fingerprint}")
-    index = (location.subtable << f) | location.local
+    index = (subtable << f) | local
     return CellIndex(*divmod(_addressing(params)._alt(index, fingerprint), 1 << f))
 
 
@@ -341,7 +349,7 @@ class CuckooFilter(_Addressing):
         is a global cell index in [0, num_cells) and fingerprint lies in
         [1, 2^fingerprint_bits - 1], else ValueError.  numpy integers are
         taken as Python ints; other types raise TypeError.  The checked
-        pair goes to _place, which insert_many calls directly.
+        pair goes to _place, the slow path insert_many calls directly.
         """
         if type(home) is not int or type(fingerprint) is not int:
             # a numpy fingerprint shifted past bit 63 would wrap to zero
@@ -354,20 +362,14 @@ class CuckooFilter(_Addressing):
         return self._place(home, fingerprint)
 
     def _place(self, home: int, fingerprint: int) -> InsertOutcome:
-        """insert_hashed on a home and fingerprint already known to be in range."""
+        """insert_hashed on an in-range pair; one write, into the home, its alternate or _evict's leaf."""
         occupancy = self._occupancy
         block = self._block_size
         cell = home
-        came_from = None
         if occupancy[cell] == block:
             cell = alt = self._alt(home, fingerprint)
             if occupancy[cell] == block:
-                # a budget that covers the BFS's first level: try that level alone
-                moved = self.params.max_evictions >= 2 + 2 * block and self._evict_once(home, alt, fingerprint)
-                if moved:
-                    cell, fingerprint = moved
-                else:
-                    cell, came_from = self._evict_path(home, alt)
+                cell, fingerprint = self._evict(home, alt, fingerprint) or (None, fingerprint)
         if cell is None:
             # FilterParams allows a stash only on the simplified variant
             stash = self._stashes[home >> self._f]
@@ -385,21 +387,10 @@ class CuckooFilter(_Addressing):
             # a delete left a hole below slot occ: fill the lowest
             slot = bitmatch.find_fingerprint(stored, 0, self._lane_const, f)
         # else slots [0, occ) are full and the rest empty: append at occ
+        cells[cell] = stored | fingerprint << slot * f
         occupancy[cell] = occ + 1
         self._table_count += 1
         self._stale[cell] = 1
-        if came_from is None:
-            cells[cell] = stored | fingerprint << slot * f
-            return InsertOutcome.STORED
-        # leaf-first, each fingerprint on the path steps into the slot vacated
-        # after it; every cell but the leaf was full, so nothing else changes
-        while (step := came_from[cell]) is not None:
-            source, source_slot = step
-            moved = (cells[source] >> source_slot * f) & self._fp_mask
-            cells[cell] = bitmatch.write_lane(cells[cell], slot, f, moved)
-            cell, slot = step
-            self._stale[cell] = 1
-        cells[cell] = bitmatch.write_lane(cells[cell], slot, f, fingerprint)
         return InsertOutcome.STORED
 
     def insert_many(self, values: np.ndarray) -> int:
@@ -409,8 +400,9 @@ class CuckooFilter(_Addressing):
         hash_many(values), stopping at the first FAILED: returns how many
         landed, in table or stash, before it (len(values) when all did).
         values are checked as hashing.counter_batch documents, before any
-        insert; a pair the in-place append cannot take goes to _place
-        without insert_hashed's checks, since hash_many's are in range.
+        insert; a pair the in-place append cannot take goes to _place (a
+        hole fill or the eviction search) without insert_hashed's checks,
+        since hash_many's are in range.
         """
         homes, fps = self.hash_many(values)
         # a batch built just for this call is freed here, not held through
@@ -567,7 +559,8 @@ class CuckooFilter(_Addressing):
         slot = bitmatch.find_fingerprint(cells[cell], fingerprint, self._lane_const, self._f)
         if slot is None:
             return False
-        cells[cell] = bitmatch.write_lane(cells[cell], slot, self._f, 0)
+        # the slot holds exactly this fingerprint
+        cells[cell] ^= fingerprint << slot * self._f
         self._stale[cell] = 1
         self._occupancy[cell] -= 1
         self._table_count -= 1
@@ -579,55 +572,41 @@ class CuckooFilter(_Addressing):
         entry = (self._canonical_local(home, fingerprint), fingerprint)
         return entry in self._stashes[home >> self._f]
 
-    def _evict_once(self, home: int, alt: int, fingerprint: int) -> tuple[int, int] | None:
-        """_evict_path's depth-1 move, made without its predecessor map.
+    def _evict(self, home: int, alt: int, fingerprint: int) -> tuple[int, int] | None:
+        """Bounded breadth-first eviction search from two full candidate cells.
 
-        The leaf is the BFS's: the lowest-index non-full neighbour of the
-        two full candidates, by its first visit in the BFS order.  Writes
-        ``fingerprint`` into that visit's slot and returns the leaf and the
-        fingerprint it takes; None, writing nothing, when all are full.
+        Finds the leaf, the nearest non-full cell within max_evictions
+        visited cells (roots included; the lowest global index on a tie),
+        shifts the path one step towards it with ``fingerprint`` taking the
+        root's slot, and returns the leaf and the fingerprint it takes; None,
+        writing nothing, when the search fails.
         """
         block, f, mask = self._block_size, self._f, self._fp_mask
         cells = self._cells or self._cell_ints()
-        occupancy, simplified, alt_of = self._occupancy, self._simplified, self._alt
-        leaf = self._n_cells
-        for root in (home, alt) if home < alt else (alt, home):
-            stored = cells[root]
-            for slot in range(block):
-                fp = stored & mask
-                neighbor = root ^ fp if simplified else alt_of(root, fp)
-                stored >>= f
-                if neighbor < leaf and occupancy[neighbor] < block:
-                    leaf, source, source_slot, moved = neighbor, root, slot, fp
-        if leaf == self._n_cells:
-            return None
-        cells[source] ^= (moved ^ fingerprint) << source_slot * f
-        self._stale[source] = 1
-        return leaf, moved
-
-    def _evict_path(self, home: int, alt: int) -> tuple[int | None, dict]:
-        """Breadth-first eviction search from two full candidate cells.
-
-        ``came_from`` is the predecessor map: visited cell -> (cell, slot)
-        whose fingerprint would move into it, each root -> None.  Its size
-        is the budget count: max_evictions visited cells, roots included.
-        Returns the free leaf cell (None when the search fails) and
-        ``came_from``.  It never writes the table; _place applies the
-        path.
-        """
-        block = self._block_size
-        f = self._f
-        mask = self._fp_mask
-        cells = self._cells or self._cell_ints()
-        occupancy = self._occupancy
-        budget = self.params.max_evictions
+        occupancy, stale, budget = self._occupancy, self._stale, self.params.max_evictions
         # the simplified alternate inline; the original keeps _alt's offset memo
         simplified, alt_of = self._simplified, self._alt
         level = sorted((home, alt))
+        if budget >= 2 + 2 * block:
+            # the budget covers the first level: scan it without a predecessor
+            # map, keeping the lowest-index leaf by its first visit
+            leaf = self._n_cells
+            for root in level:
+                stored = cells[root]
+                for slot in range(block):
+                    fp = stored & mask
+                    neighbor = root ^ fp if simplified else alt_of(root, fp)
+                    stored >>= f
+                    if neighbor < leaf and occupancy[neighbor] < block:
+                        leaf, source, source_slot, moved = neighbor, root, slot, fp
+            if leaf < self._n_cells:
+                cells[source] ^= (moved ^ fingerprint) << source_slot * f
+                stale[source] = 1
+                return leaf, moved
+        # neighbours all full, or the first level cut: map visited cell -> (cell, slot) it came from
         came_from = dict.fromkeys(level)
         while level:
-            free = []
-            next_level = []
+            free, next_level = [], []
             for cell in level:
                 stored = cells[cell]
                 for slot in range(block):
@@ -644,10 +623,20 @@ class CuckooFilter(_Addressing):
                     else:
                         next_level.append(neighbor)
             if free:
-                # ties between equal-depth free cells: lowest global index
-                return min(free), came_from
+                leaf = cell = min(free)
+                path = []
+                while (step := came_from[cell]) is not None:
+                    path.append(step)
+                    cell = step[0]
+                # root first; the path's cells are distinct, so each read is the original
+                for cell, slot in reversed(path):
+                    moved = cells[cell] >> slot * f & mask
+                    cells[cell] ^= (moved ^ fingerprint) << slot * f
+                    stale[cell] = 1
+                    fingerprint = moved
+                return leaf, fingerprint
             level = next_level
-        return None, came_from
+        return None
 
     # -- serialization --------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Shared test helpers: element encoding, the one-seed byte hash, the
 loop oracles for the lane matcher (scalar and numpy), a numpy lane
-matcher, an independent table oracle, and the per-insert reference for
-bulk fills."""
+matcher, an independent table oracle, the per-insert reference for
+bulk fills, and the reference eviction search."""
 
 import random
 
@@ -144,6 +144,53 @@ def insert_each(filt, values) -> int:
             return done
         done += 1
     return done
+
+
+def reference_evict(filt, home: int, alt: int, fingerprint: int) -> tuple[int, int] | None:
+    """Reference for CuckooFilter._evict: a predecessor map at every level.
+
+    The breadth-first search visits the two sorted roots and then each
+    level's cells slot by slot, counting visited cells (roots included)
+    against max_evictions before each slot; the lowest-index free cell of
+    the first level that has one is the leaf.  The path is written leaf
+    first with plain lane writes: each fingerprint steps into the slot
+    vacated after it, and ``fingerprint`` into the root's.  Returns the
+    leaf and the fingerprint it takes, or None without a write.
+    """
+    cells = filt._cells or filt._cell_ints()
+    block, f = filt.params.block_size, filt.params.fingerprint_bits
+    mask = (1 << f) - 1
+
+    def lane(cell: int, slot: int) -> int:
+        return cells[cell] >> slot * f & mask
+
+    def write(cell: int, slot: int, value: int) -> None:
+        cells[cell] = cells[cell] & ~(mask << slot * f) | value << slot * f
+        filt._stale[cell] = 1
+
+    level = sorted((home, alt))
+    came_from = dict.fromkeys(level)
+    while level:
+        free, next_level = [], []
+        for cell in level:
+            for slot in range(block):
+                if len(came_from) >= filt.params.max_evictions:
+                    break
+                neighbor = filt._alt(cell, lane(cell, slot))
+                if neighbor not in came_from:
+                    came_from[neighbor] = (cell, slot)
+                    (free if filt._occupancy[neighbor] < block else next_level).append(neighbor)
+        if free:
+            leaf = min(free)
+            cell, slot = came_from[leaf]
+            moved = lane(cell, slot)
+            while (step := came_from[cell]) is not None:
+                write(cell, slot, lane(*step))
+                cell, slot = step
+            write(cell, slot, fingerprint)
+            return leaf, moved
+        level = next_level
+    return None
 
 
 def counters(start: int, count: int) -> list[bytes]:

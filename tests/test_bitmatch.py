@@ -114,18 +114,6 @@ def test_find_matches_naive_on_dense_multiword_cells(data, geometry):
     )
 
 
-def test_lane_read_write_clear():
-    width = 6
-    word = 0
-    word = bitmatch.write_lane(word, 0, width, 9)
-    word = bitmatch.write_lane(word, 3, width, 33)
-    assert word == 9 | (33 << 18)
-    word = bitmatch.write_lane(word, 3, width, 5)
-    assert word == 9 | (5 << 18)
-    word = bitmatch.write_lane(word, 0, width, 0)
-    assert word == 5 << 18
-
-
 # -- the numpy matcher and lane count in conftest (test-only oracles) --------
 
 def test_lanes_per_word_leaves_carry_room():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HEADER_SIZE, BlockedCuckooTable, counters, insert_each, wire_blocks
+from conftest import HEADER_SIZE, BlockedCuckooTable, counters, insert_each, reference_evict, wire_blocks
 from sckf import filter as filter_module
 from sckf import hashing, planner
 from sckf.bloom import BloomFilter
@@ -213,6 +213,15 @@ def test_alt_location_rejects_bad_fingerprint():
         alt_location(CellIndex(0, 0), 0, params)
     with pytest.raises(ValueError):
         alt_location(CellIndex(0, 0), 256, params)
+    # and cells outside the table, or not named by integers
+    for location in (CellIndex(5, 3), CellIndex(1, 0), CellIndex(-1, 0), CellIndex(0, 300),
+                     CellIndex(0, 256), CellIndex(0, -1)):
+        with pytest.raises(ValueError):
+            alt_location(location, 7, params)
+    for location, fp in ((CellIndex(0.0, 3), 7), (CellIndex(0, "3"), 7), (CellIndex(0, 3), 7.0)):
+        with pytest.raises(TypeError):
+            alt_location(location, fp, params)
+    assert alt_location(CellIndex(np.int64(0), np.uint8(3)), np.uint64(7), params) == CellIndex(0, 4)
 
 
 # -- membership ---------------------------------------------------------------
@@ -657,23 +666,32 @@ def test_budget_edge_fill_matches_recorded_digest(variant, budget):
 DEPTH1_GEOMETRIES = [(1, 6, 1), (2, 6, 1), (4, 5, 1), (8, 5, 1), (13, 5, 2)]
 
 
+@pytest.mark.parametrize("first_level", ["scanned", "cut"])
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("block_size,fingerprint_bits,num_subtables", DEPTH1_GEOMETRIES)
-def test_depth1_scan_places_like_the_bfs(block_size, fingerprint_bits, num_subtables, variant):
-    # against a twin whose depth-1 scan always defers to _evict_path
+def test_evict_places_like_the_reference_bfs(block_size, fingerprint_bits, num_subtables, variant, first_level):
+    # against a twin whose _evict is the reference search; a budget of 2b + 1
+    # cuts the first level, so the search runs from the roots without a scan
+    budget = 512 if first_level == "scanned" else 2 * block_size + 1
     stash = 3 if variant is Variant.SIMPLIFIED else 0
     params = FilterParams(capacity=100, block_size=block_size, fingerprint_bits=fingerprint_bits,
-                          num_subtables=num_subtables, variant=variant, stash_capacity=stash, seed=5)
+                          num_subtables=num_subtables, variant=variant, stash_capacity=stash, seed=5,
+                          max_evictions=budget)
     slots = params.total_slots
-    scans = []
+    depths = []  # per reference search: cells the path rewrote, 0 when it failed
 
     def pair(subject: CuckooFilter, twin: CuckooFilter) -> tuple[CuckooFilter, CuckooFilter]:
-        def scan(home: int, alt: int, fingerprint: int):
-            scans.append(CuckooFilter._evict_once(subject, home, alt, fingerprint))
-            return scans[-1]
+        for filt in (subject, twin):
+            # the wire format drops the budget
+            filt.params = dataclasses.replace(filt.params, max_evictions=budget)
 
-        subject._evict_once = scan
-        twin._evict_once = lambda home, alt, fingerprint: None
+        def reference(home: int, alt: int, fingerprint: int):
+            before = list(twin._cells or twin._cell_ints())
+            result = reference_evict(twin, home, alt, fingerprint)
+            depths.append(sum(old != new for old, new in zip(before, twin._cells)) if result else 0)
+            return result
+
+        twin._evict = reference
         return subject, twin
 
     def each(call, *args):
@@ -696,16 +714,18 @@ def test_depth1_scan_places_like_the_bfs(block_size, fingerprint_bits, num_subta
         home, fp = subject._hash(element)
         return subject._occupancy[home] == subject._occupancy[subject._alt(home, fp)] == block_size
 
-    # loaded: the first slow insert builds the cell ints in the scan
+    # loaded: the first slow insert builds the cell ints in the search
     subject, twin = pair(*(CuckooFilter.from_bytes(filt.to_bytes()) for filt in (subject, twin)))
     evicting = next(element for element in counters(3 * slots, slots) if both_full(element))
-    scanned = len(scans)
+    searched = len(depths)
     assert subject._cells is None
     each(CuckooFilter.insert, evicting)
-    assert len(scans) == scanned + 1
+    assert len(depths) == searched + 1
     for element in counters(4 * slots, slots // 4):
         each(CuckooFilter.insert, element)
-    assert any(scans) and None in scans
+    # moves at depth 1, failed searches and, past the scan, deeper paths
+    assert 1 in depths and 0 in depths
+    assert max(depths) >= 2 or first_level == "cut"
 
 
 def test_behaves_like_direct_blocked_cuckoo_table():

@@ -649,11 +649,9 @@ def test_first_scalar_call_on_a_loaded_filter(block_size, fingerprint_bits, call
 # every method that stores into the cell ints; each but _load_table, which
 # unbuilds them, and _cell_ints, which builds them from the view, flags the
 # cells it writes
-CELL_WRITERS = {"_place", "_evict_once", "insert_many", "_remove_from_cell", "_load_table",
-                "_cell_ints"}
+CELL_WRITERS = {"_place", "_evict", "insert_many", "_remove_from_cell", "_load_table", "_cell_ints"}
 # every method that reads the cell ints, each through the accessor
-CELL_READERS = {"_place", "_evict_once", "insert_many", "query", "_evict_path", "_remove_from_cell",
-                "_table_bytes"}
+CELL_READERS = {"_place", "_evict", "insert_many", "query", "_remove_from_cell", "_table_bytes"}
 ACCESSOR = ast.dump(ast.parse("self._cells or self._cell_ints()", mode="eval").body)
 LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
                  "__setitem__", "__delitem__", "__iadd__"}
