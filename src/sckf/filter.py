@@ -29,7 +29,7 @@ there up are zero, and otherwise fills the lowest empty slot.  Both pick
 the same slot.  ``insert_many`` runs that append in place for a whole
 counter batch, in the home cell or, when the home is full, in the
 alternate; a cell with a hole and a pair of full cells go to ``_place``,
-which insert_hashed calls.
+which insert and insert_hashed call.
 
 Batch queries and ``to_bytes`` read a view of the table beside the cell
 ints: the v1 wire table as a ``(num_cells, words)`` uint64 array,
@@ -51,8 +51,11 @@ ValueError and non-integers a TypeError.
 When both candidates are full, ``_evict``'s bounded breadth-first search
 (Li et al., EuroSys 2014) finds the nearest cell with room and writes the
 path itself, root first, each slot swapping its fingerprint for the one
-coming in; it scans a first level that the budget covers without a
-predecessor map.  Inserts that cannot be placed overflow into a small
+coming in.  Each level that the budget cannot cut, 2(1 + b + ... + b^d)
+visits through level d, is scanned as a plain list of neighbours with
+duplicates kept and no predecessor map; a duplicate is a full cell, so
+it is never the leaf and its first entry is its first visit.  Only past
+that bound does the search with a predecessor map run.  Inserts that cannot be placed overflow into a small
 per-subtable stash (simplified variant only); when the stash is full too,
 the insert fails and the filter is untouched.
 
@@ -338,8 +341,8 @@ class CuckooFilter(_Addressing):
 
     def insert(self, element: bytes) -> InsertOutcome:
         """Insert one copy of an element; duplicates accumulate."""
-        home, fp = self._hash(element)
-        return self.insert_hashed(home, fp)
+        # _hash's pair is in range: skip insert_hashed's checks
+        return self._place(*self._hash(element))
 
     def insert_hashed(self, home: int, fingerprint: int) -> InsertOutcome:
         """Insert by precomputed global home cell and fingerprint.
@@ -349,7 +352,7 @@ class CuckooFilter(_Addressing):
         is a global cell index in [0, num_cells) and fingerprint lies in
         [1, 2^fingerprint_bits - 1], else ValueError.  numpy integers are
         taken as Python ints; other types raise TypeError.  The checked
-        pair goes to _place, the slow path insert_many calls directly.
+        pair goes to _place, the slow path insert and insert_many call directly.
         """
         if type(home) is not int or type(fingerprint) is not int:
             # a numpy fingerprint shifted past bit 63 would wrap to zero
@@ -580,18 +583,32 @@ class CuckooFilter(_Addressing):
         shifts the path one step towards it with ``fingerprint`` taking the
         root's slot, and returns the leaf and the fingerprint it takes; None,
         writing nothing, when the search fails.
+
+        While the budget cannot cut a level, that is while 2(1 + b + ... +
+        b^d) visits through level d fit in it, the levels are scanned as
+        plain lists: level d holds the neighbours of every entry of level
+        d - 1 in slot order, duplicates kept, so entry i came from entry
+        i // b above through slot i % b.  A level is scanned only when every
+        level above it is full, so a duplicate, or a cell met at an earlier
+        level, is full and never the leaf, and the first entry of each cell
+        is its first visit in the search.  So the lowest free entry and its
+        first position give the search's leaf and path.  Past the bound (or
+        past b visits per cell of the table, where the lists would outgrow
+        the search), or with a budget that cuts the first level, the search
+        runs from the roots with a map of each visited cell to the
+        (cell, slot) it came from.
         """
         block, f, mask = self._block_size, self._f, self._fp_mask
         cells = self._cells or self._cell_ints()
         occupancy, stale, budget = self._occupancy, self._stale, self.params.max_evictions
         # the simplified alternate inline; the original keeps _alt's offset memo
         simplified, alt_of = self._simplified, self._alt
-        level = sorted((home, alt))
+        roots = sorted((home, alt))
+        path = None  # (cell, slot) per step, leaf end first
         if budget >= 2 + 2 * block:
-            # the budget covers the first level: scan it without a predecessor
-            # map, keeping the lowest-index leaf by its first visit
+            # level 1 without a list: the lowest-index leaf by its first visit
             leaf = self._n_cells
-            for root in level:
+            for root in roots:
                 stored = cells[root]
                 for slot in range(block):
                     fp = stored & mask
@@ -603,9 +620,30 @@ class CuckooFilter(_Addressing):
                 cells[source] ^= (moved ^ fingerprint) << source_slot * f
                 stale[source] = 1
                 return leaf, moved
-        # neighbours all full, or the first level cut: map visited cell -> (cell, slot) it came from
-        came_from = dict.fromkeys(level)
-        while level:
+            # every neighbour is full: go on level by level, level 1 again as a list
+            shifts = range(0, block * f, f)
+            # levels keep duplicates, so they outgrow the table: past b visits
+            # per cell the search from the roots does less work
+            bound = min(budget, block * self._n_cells)
+            levels, level, visits = [], roots, 2
+            while path is None and bound >= (visits := visits + block * len(level)):
+                levels.append(level)
+                if simplified:
+                    level = [cell ^ stored >> shift & mask
+                             for cell in level for stored in (cells[cell],) for shift in shifts]
+                else:
+                    level = [alt_of(cell, stored >> shift & mask)
+                             for cell in level for stored in (cells[cell],) for shift in shifts]
+                # level 1 is known full
+                if len(levels) > 1 and (free := [cell for cell in level if occupancy[cell] < block]):
+                    leaf = min(free)
+                    index, path = level.index(leaf), []
+                    for above in reversed(levels):
+                        index, slot = divmod(index, block)
+                        path.append((above[index], slot))
+        # past the scanned levels, or the first level cut: map visited cell -> (cell, slot) it came from
+        level, came_from = roots, dict.fromkeys(roots)
+        while path is None and level:
             free, next_level = [], []
             for cell in level:
                 stored = cells[cell]
@@ -628,15 +666,16 @@ class CuckooFilter(_Addressing):
                 while (step := came_from[cell]) is not None:
                     path.append(step)
                     cell = step[0]
-                # root first; the path's cells are distinct, so each read is the original
-                for cell, slot in reversed(path):
-                    moved = cells[cell] >> slot * f & mask
-                    cells[cell] ^= (moved ^ fingerprint) << slot * f
-                    stale[cell] = 1
-                    fingerprint = moved
-                return leaf, fingerprint
             level = next_level
-        return None
+        if path is None:
+            return None
+        # root first; the path's cells are distinct, so each read is the original
+        for cell, slot in reversed(path):
+            moved = cells[cell] >> slot * f & mask
+            cells[cell] ^= (moved ^ fingerprint) << slot * f
+            stale[cell] = 1
+            fingerprint = moved
+        return leaf, fingerprint
 
     # -- serialization --------------------------------------------------------
 

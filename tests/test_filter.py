@@ -606,6 +606,9 @@ def test_eviction_budget_bounds_the_search():
 # off partway through a BFS level; 100 exceeds the 64 cells.  Budgets 5 and
 # 6 (2b + 1 and 2b + 2), recorded before the depth-1 scan, pin its guard:
 # only a budget that covers the roots and all 2b first-level visits runs it.
+# Budgets 13, 14, 29 and 30, recorded before the scan went past depth 1, pin
+# its level bound: level d is scanned only when 2(1 + b + ... + b^d) visits
+# fit, 14 for level 2 and 30 for level 3.
 GOLDEN_EVICTION_FILLS = {
     (Variant.SIMPLIFIED, 2): (
         "4f74fcc113232f5ef04756c96b09bc6bd606e424c3ed20710f815dcc6109b17f",
@@ -643,6 +646,38 @@ GOLDEN_EVICTION_FILLS = {
         "a100451646bbaa13f8ba4c88a98b86c33ed71b98a8d848c5efa93af32bc23b70",
         "a56818d704b1936e9130ea77b9a6732c320025c42f43512b2b0e9bb5cbdf9d82",
     ),
+    (Variant.SIMPLIFIED, 13): (
+        "6449d913119c6a43c65e3d1d45c9fa9f822471660910d29abd21dadfc0d868d8",
+        "6d75dfb55bd747f64553740e2a148d96908282247de6d30d7d1bc953f7ef92ab",
+    ),
+    (Variant.SIMPLIFIED, 14): (
+        "6449d913119c6a43c65e3d1d45c9fa9f822471660910d29abd21dadfc0d868d8",
+        "6d75dfb55bd747f64553740e2a148d96908282247de6d30d7d1bc953f7ef92ab",
+    ),
+    (Variant.SIMPLIFIED, 29): (
+        "5ba5655d40cf488ae2b07f97f45d6e0ac79059213810fc84e946ecb0f006d719",
+        "9b03425c16e7a2f93746ebbbe25ae4a3e1e0d3f05cca2109d57a4f3432c56102",
+    ),
+    (Variant.SIMPLIFIED, 30): (
+        "5ba5655d40cf488ae2b07f97f45d6e0ac79059213810fc84e946ecb0f006d719",
+        "9b03425c16e7a2f93746ebbbe25ae4a3e1e0d3f05cca2109d57a4f3432c56102",
+    ),
+    (Variant.ORIGINAL, 13): (
+        "1771e2e1c28e0bc670e548f7c0d33a1192e2f701c72c5915f6ee9fd8ea422c07",
+        "ed2cf5d61930c0a9278dabcb369076c918c9834e6ac7869a812f3147e0c13b26",
+    ),
+    (Variant.ORIGINAL, 14): (
+        "1771e2e1c28e0bc670e548f7c0d33a1192e2f701c72c5915f6ee9fd8ea422c07",
+        "ed2cf5d61930c0a9278dabcb369076c918c9834e6ac7869a812f3147e0c13b26",
+    ),
+    (Variant.ORIGINAL, 29): (
+        "a100451646bbaa13f8ba4c88a98b86c33ed71b98a8d848c5efa93af32bc23b70",
+        "a56818d704b1936e9130ea77b9a6732c320025c42f43512b2b0e9bb5cbdf9d82",
+    ),
+    (Variant.ORIGINAL, 30): (
+        "a100451646bbaa13f8ba4c88a98b86c33ed71b98a8d848c5efa93af32bc23b70",
+        "a56818d704b1936e9130ea77b9a6732c320025c42f43512b2b0e9bb5cbdf9d82",
+    ),
 }
 
 
@@ -666,13 +701,20 @@ def test_budget_edge_fill_matches_recorded_digest(variant, budget):
 DEPTH1_GEOMETRIES = [(1, 6, 1), (2, 6, 1), (4, 5, 1), (8, 5, 1), (13, 5, 2)]
 
 
-@pytest.mark.parametrize("first_level", ["scanned", "cut"])
+@pytest.mark.parametrize("levels", ["scanned", "cut", "level2", "below_level2"])
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("block_size,fingerprint_bits,num_subtables", DEPTH1_GEOMETRIES)
-def test_evict_places_like_the_reference_bfs(block_size, fingerprint_bits, num_subtables, variant, first_level):
-    # against a twin whose _evict is the reference search; a budget of 2b + 1
-    # cuts the first level, so the search runs from the roots without a scan
-    budget = 512 if first_level == "scanned" else 2 * block_size + 1
+def test_evict_places_like_the_reference_bfs(block_size, fingerprint_bits, num_subtables, variant, levels):
+    # against a twin whose _evict is the reference search.  512 lets the scan
+    # run every level it can; 2b + 1 cuts the first level, so the search runs
+    # from the roots without a scan; 2 + 2b + 2b^2 scans level 2, and one less
+    # hands level 2 to the search from the roots
+    budget = {
+        "scanned": 512,
+        "cut": 2 * block_size + 1,
+        "level2": 2 + 2 * block_size + 2 * block_size**2,
+        "below_level2": 1 + 2 * block_size + 2 * block_size**2,
+    }[levels]
     stash = 3 if variant is Variant.SIMPLIFIED else 0
     params = FilterParams(capacity=100, block_size=block_size, fingerprint_bits=fingerprint_bits,
                           num_subtables=num_subtables, variant=variant, stash_capacity=stash, seed=5,
@@ -723,9 +765,11 @@ def test_evict_places_like_the_reference_bfs(block_size, fingerprint_bits, num_s
     assert len(depths) == searched + 1
     for element in counters(4 * slots, slots // 4):
         each(CuckooFilter.insert, element)
-    # moves at depth 1, failed searches and, past the scan, deeper paths
+    # moves at depth 1, failed searches and deeper paths; at b <= 2 the full
+    # budget scans level 3 too
     assert 1 in depths and 0 in depths
-    assert max(depths) >= 2 or first_level == "cut"
+    assert max(depths) >= 2 or levels == "cut"
+    assert max(depths) >= 3 or levels != "scanned" or block_size > 2
 
 
 def test_behaves_like_direct_blocked_cuckoo_table():

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import hash_bytes_one_seed
@@ -63,6 +65,14 @@ def test_hash_bytes_lanes_match_the_one_seed_hash():
         data = bytearray(PIN_DATA[:17])
         assert hashing.hash_bytes(data, seed_a, seed_b) == (
             hash_bytes_one_seed(data, seed_a), hash_bytes_one_seed(data, seed_b))
+
+
+@given(st.binary(min_size=8, max_size=8), st.integers(0, hashing.MASK64), st.integers(0, hashing.MASK64))
+def test_eight_byte_hash_matches_the_one_seed_hash(data, seed_a, seed_b):
+    # 8 bytes take hash_bytes' straight-line branch, whatever their type
+    expected = hash_bytes_one_seed(data, seed_a), hash_bytes_one_seed(data, seed_b)
+    assert hashing.hash_bytes(data, seed_a, seed_b) == expected
+    assert hashing.hash_bytes(bytearray(data), seed_a, seed_b) == expected
 
 
 def test_vectorized_hash_matches_scalar():
