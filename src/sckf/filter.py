@@ -36,13 +36,13 @@ ints: the v1 wire table as a ``(num_cells, words)`` uint64 array,
 ``8 * words`` bytes per cell, allocated zero with the table.  Every write
 to a cell int sets the cell's stale flag, and each batch read re-encodes
 the flagged cells.  ``from_bytes`` copies the payload's table into the
-view and checks it there, but builds no cell ints: they are built from
-the view on the first scalar read or write, so a filter that is loaded,
-batch queried and saved never builds them.  ``query_many`` hashes
-and probes a chunk of its batch at a time and compares whole wire words:
-per word, one borrow-form lane match (see bitmatch) tests all the lanes
-lying wholly inside it, and only a slot that straddles two words is
-extracted on its own.
+view and checks it there.  No filter builds its cell ints until its
+first scalar read or write, which builds them from the view, so a filter
+that is loaded, batch queried and saved never builds them.
+``query_many`` hashes and probes a chunk of its batch at a time and
+compares whole wire words: per word, one borrow-form lane match (see
+bitmatch) tests all the lanes lying wholly inside it, and only a slot
+that straddles two words is extracted on its own.
 
 ``insert_hashed`` takes a global home index in [0, num_cells) and a
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
@@ -51,13 +51,13 @@ ValueError and non-integers a TypeError.
 When both candidates are full, ``_evict``'s bounded breadth-first search
 (Li et al., EuroSys 2014) finds the nearest cell with room and writes the
 path itself, root first, each slot swapping its fingerprint for the one
-coming in.  Each level that the budget cannot cut, 2(1 + b + ... + b^d)
-visits through level d, is scanned as a plain list of neighbours with
-duplicates kept and no predecessor map; a duplicate is a full cell, so
-it is never the leaf and its first entry is its first visit.  Only past
-that bound does the search with a predecessor map run.  Inserts that cannot be placed overflow into a small
-per-subtable stash (simplified variant only); when the stash is full too,
-the insert fails and the filter is untouched.
+coming in.  It keeps no predecessor map: each level is a plain list of
+the neighbours of the level above, with duplicates kept while the budget
+cannot cut the level (2(1 + b + ... + b^d) visits through level d) and
+first visits only from there on, and the path is read back by position.
+Inserts that cannot be placed overflow into a small per-subtable stash
+(simplified variant only); when the stash is full too, the insert fails
+and the filter is untouched.
 
 Queries never report a stored element as absent.  False positives occur at
 a rate bounded by ``2n / (num_cells * (2**fingerprint_bits - 1))``.
@@ -309,7 +309,7 @@ class CuckooFilter(_Addressing):
 
     def __init__(self, params: FilterParams):
         # a list slot, a view row, an occupancy byte and a stale flag per
-        # cell, refused before a list that size starts to fill the machine
+        # cell, refused before a table that size starts to fill the machine
         words = _dense_words_per_block(params.block_size, params.fingerprint_bits)
         need = params.num_cells * (struct.calcsize("P") + 8 * words + 2)
         if need > (memory := os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")):
@@ -324,8 +324,8 @@ class CuckooFilter(_Addressing):
         self._word_lows = [np.uint64(low) for low in lows]
         self._word_highs = [np.uint64(low << self._f - 1) for low in lows]
         self._straddling = [slot for slot in range(params.block_size) if slot * self._f % 64 + self._f > 64]
-        # None after from_bytes until the first scalar read or write; see _cell_ints
-        self._cells: list[int] | None = [0] * self._n_cells
+        # None until the first scalar read or write; see _cell_ints
+        self._cells: list[int] | None = None
         # one byte per cell: a zero-lane fullness test on the cell int instead fills ~18% slower
         self._occupancy = bytearray(self._n_cells)
         # every write to a cell sets its flag; the next batch read clears it
@@ -407,11 +407,14 @@ class CuckooFilter(_Addressing):
         hole fill or the eviction search) without insert_hashed's checks,
         since hash_many's are in range.
         """
+        # the cell ints before the hashes, as when every filter built them
+        # with its table: built after, they left construction's peak RSS
+        # 0.6 MiB higher (the allocator placed the blocks differently)
+        cells = self._cells or self._cell_ints()
         homes, fps = self.hash_many(values)
         # a batch built just for this call is freed here, not held through
         # the loop beside its hashes
         del values
-        cells = self._cells or self._cell_ints()
         occupancy = self._occupancy
         stale = self._stale
         block = self._block_size
@@ -584,19 +587,21 @@ class CuckooFilter(_Addressing):
         root's slot, and returns the leaf and the fingerprint it takes; None,
         writing nothing, when the search fails.
 
+        Level d lists the neighbours of every entry of level d - 1 in slot
+        order, so entry i came from entry i // b above through slot i % b.
         While the budget cannot cut a level, that is while 2(1 + b + ... +
-        b^d) visits through level d fit in it, the levels are scanned as
-        plain lists: level d holds the neighbours of every entry of level
-        d - 1 in slot order, duplicates kept, so entry i came from entry
-        i // b above through slot i % b.  A level is scanned only when every
-        level above it is full, so a duplicate, or a cell met at an earlier
-        level, is full and never the leaf, and the first entry of each cell
-        is its first visit in the search.  So the lowest free entry and its
-        first position give the search's leaf and path.  Past the bound (or
-        past b visits per cell of the table, where the lists would outgrow
-        the search), or with a budget that cuts the first level, the search
-        runs from the roots with a map of each visited cell to the
-        (cell, slot) it came from.
+        b^d) visits through level d fit in it (and in b visits per table
+        cell, past which the lists would outgrow the search), a level keeps
+        its duplicates: it is listed only when every level above it is full,
+        so a duplicate, or a cell met at an earlier level, is full and never
+        the leaf, and the first entry of each cell is its first visit.  Once
+        the level below may not fit, the search keeps a set of the cells it
+        has seen and cuts the level to its first visits.  From there on each
+        level is listed ceil(r / b) cells at a time, r being the visits the
+        budget has left, and keeps at most r first visits from each part, so
+        a small r lists little.  Either way the lowest free entry is the
+        leaf, and each step of its path is read back from the position of
+        its cell in the neighbours listed from the level above.
         """
         block, f, mask = self._block_size, self._f, self._fp_mask
         cells = self._cells or self._cell_ints()
@@ -604,7 +609,6 @@ class CuckooFilter(_Addressing):
         # the simplified alternate inline; the original keeps _alt's offset memo
         simplified, alt_of = self._simplified, self._alt
         roots = sorted((home, alt))
-        path = None  # (cell, slot) per step, leaf end first
         if budget >= 2 + 2 * block:
             # level 1 without a list: the lowest-index leaf by its first visit
             leaf = self._n_cells
@@ -621,61 +625,52 @@ class CuckooFilter(_Addressing):
                 stale[source] = 1
                 return leaf, moved
             # every neighbour is full: go on level by level, level 1 again as a list
-            shifts = range(0, block * f, f)
-            # levels keep duplicates, so they outgrow the table: past b visits
-            # per cell the search from the roots does less work
-            bound = min(budget, block * self._n_cells)
-            levels, level, visits = [], roots, 2
-            while path is None and bound >= (visits := visits + block * len(level)):
-                levels.append(level)
+        shifts = range(0, block * f, f)
+        bound = min(budget, block * self._n_cells)
+        levels = []  # (level, the neighbours listed from it) per level expanded
+        level, visits, seen = roots, 2, None
+        while level:
+            if seen is None and bound < (visits := visits + block * len(level)):
+                # the budget may cut the level below: keep first visits only from here on
+                seen = set().union(*(above for above, _ in levels))
+                level = [cell for cell in level if cell not in seen and not seen.add(cell)]
+            # the whole level while it keeps duplicates, then ceil(room / b)
+            # cells at a time, so that a part gives at most room first visits
+            found, below, start = [], [], 0
+            while start < len(level) and (seen is None or (room := budget - len(seen)) > 0):
+                part = level if seen is None else level[start : start + -(-room // block)]
+                start += len(part)
                 if simplified:
-                    level = [cell ^ stored >> shift & mask
-                             for cell in level for stored in (cells[cell],) for shift in shifts]
+                    listed = [cell ^ stored >> shift & mask
+                              for cell in part for stored in (cells[cell],) for shift in shifts]
                 else:
-                    level = [alt_of(cell, stored >> shift & mask)
-                             for cell in level for stored in (cells[cell],) for shift in shifts]
-                # level 1 is known full
-                if len(levels) > 1 and (free := [cell for cell in level if occupancy[cell] < block]):
-                    leaf = min(free)
-                    index, path = level.index(leaf), []
-                    for above in reversed(levels):
-                        index, slot = divmod(index, block)
-                        path.append((above[index], slot))
-        # past the scanned levels, or the first level cut: map visited cell -> (cell, slot) it came from
-        level, came_from = roots, dict.fromkeys(roots)
-        while path is None and level:
-            free, next_level = [], []
-            for cell in level:
-                stored = cells[cell]
-                for slot in range(block):
-                    if len(came_from) >= budget:
-                        break
-                    fp = stored & mask
-                    neighbor = cell ^ fp if simplified else alt_of(cell, fp)
-                    stored >>= f
-                    if neighbor in came_from:
-                        continue
-                    came_from[neighbor] = (cell, slot)
-                    if occupancy[neighbor] < block:
-                        free.append(neighbor)
-                    else:
-                        next_level.append(neighbor)
-            if free:
+                    listed = [alt_of(cell, stored >> shift & mask)
+                              for cell in part for stored in (cells[cell],) for shift in shifts]
+                if seen is None:
+                    found = below = listed
+                else:
+                    found += listed
+                    # past a cut the search ends, so seen may take cells beyond it
+                    below += [cell for cell in listed if cell not in seen and not seen.add(cell)][:room]
+            levels.append((level, found))
+            level = below
+            # level 1 keeps its duplicates only after the depth-1 scan, which found it full
+            unscanned = len(levels) > 1 or seen is not None
+            if unscanned and (free := [cell for cell in level if occupancy[cell] < block]):
                 leaf = cell = min(free)
-                path = []
-                while (step := came_from[cell]) is not None:
-                    path.append(step)
-                    cell = step[0]
-            level = next_level
-        if path is None:
-            return None
-        # root first; the path's cells are distinct, so each read is the original
-        for cell, slot in reversed(path):
-            moved = cells[cell] >> slot * f & mask
-            cells[cell] ^= (moved ^ fingerprint) << slot * f
-            stale[cell] = 1
-            fingerprint = moved
-        return leaf, fingerprint
+                path = []  # (cell, slot) per step, leaf end first
+                for above, listed in reversed(levels):
+                    index, slot = divmod(listed.index(cell), block)
+                    cell = above[index]
+                    path.append((cell, slot))
+                # root first; the path's cells are distinct, so each read is the original
+                for cell, slot in reversed(path):
+                    moved = cells[cell] >> slot * f & mask
+                    cells[cell] ^= (moved ^ fingerprint) << slot * f
+                    stale[cell] = 1
+                    fingerprint = moved
+                return leaf, fingerprint
+        return None
 
     # -- serialization --------------------------------------------------------
 
@@ -779,19 +774,23 @@ class CuckooFilter(_Addressing):
         return b"".join([ints[cell].to_bytes(size, "little") for cell in cells])
 
     def _cell_ints(self) -> list[int]:
-        """Build the cell ints of a loaded filter from the wire-table view.
+        """Build the cell ints from the wire-table view.
 
-        ``from_bytes`` leaves them unbuilt, and every reader takes
-        ``self._cells or self._cell_ints()``, so they are built on the first
-        scalar read or write.  Until then no cell has been written, so the
-        view holds the whole table, and racing first readers each build an
-        equal list from it.
+        A new filter, like one from ``from_bytes``, leaves them unbuilt, and
+        every reader takes ``self._cells or self._cell_ints()``, so they are
+        built on the first scalar read or write.  Until then no cell has been
+        written, so the view holds the whole table, and racing first readers
+        each build an equal list from it.  An empty table, as every new
+        filter has, needs no read of the view: all its ints are zero.
         """
-        # word k of a block holds its bits [64k, 64k + 64)
-        cells = self._rows[:, 0].tolist()
-        for word in range(1, self._block_words):
-            shift = 64 * word
-            cells = [cell | high << shift for cell, high in zip(cells, self._rows[:, word].tolist())]
+        if not self._table_count:
+            cells = [0] * self._n_cells
+        else:
+            # word k of a block holds its bits [64k, 64k + 64)
+            cells = self._rows[:, 0].tolist()
+            for word in range(1, self._block_words):
+                shift = 64 * word
+                cells = [cell | high << shift for cell, high in zip(cells, self._rows[:, word].tolist())]
         self._cells = cells
         return cells
 
@@ -814,10 +813,7 @@ class CuckooFilter(_Addressing):
         return rows
 
     def _load_table(self) -> None:
-        """Check the padding bits of the wire-table view; derive occupancy and count from it.
-
-        The cell ints are left unbuilt (see _cell_ints).
-        """
+        """Check the padding bits of the wire-table view; derive occupancy and count from it."""
         columns = [self._rows[:, word] for word in range(self._block_words)]
         used = self._block_size * self._f - 64 * (self._block_words - 1)
         if used < 64:
@@ -839,7 +835,6 @@ class CuckooFilter(_Addressing):
             occupancy += self._slot_values(columns, slot) != 0
         self._occupancy = bytearray(occupancy.tobytes())
         self._table_count = int(occupancy.sum())
-        self._cells = None
 
     def _load_stashes(self, data: bytes, offset: int) -> int:
         capacity = self.params.stash_capacity

@@ -608,7 +608,9 @@ def test_eviction_budget_bounds_the_search():
 # only a budget that covers the roots and all 2b first-level visits runs it.
 # Budgets 13, 14, 29 and 30, recorded before the scan went past depth 1, pin
 # its level bound: level d is scanned only when 2(1 + b + ... + b^d) visits
-# fit, 14 for level 2 and 30 for level 3.
+# fit, 14 for level 2 and 30 for level 3.  Budgets 61 and 62, recorded
+# before the level search stopped restarting from the roots, pin the bound
+# at level 4.
 GOLDEN_EVICTION_FILLS = {
     (Variant.SIMPLIFIED, 2): (
         "4f74fcc113232f5ef04756c96b09bc6bd606e424c3ed20710f815dcc6109b17f",
@@ -678,6 +680,22 @@ GOLDEN_EVICTION_FILLS = {
         "a100451646bbaa13f8ba4c88a98b86c33ed71b98a8d848c5efa93af32bc23b70",
         "a56818d704b1936e9130ea77b9a6732c320025c42f43512b2b0e9bb5cbdf9d82",
     ),
+    (Variant.SIMPLIFIED, 61): (
+        "71bb30ba8e37d478fcb80af53f3807ffe89704bd4784ed362d7604e64655edd0",
+        "15bc08ccb7bcbaa6b2072dece9b11900e285b44a7f883f1c66331840e39f1794",
+    ),
+    (Variant.SIMPLIFIED, 62): (
+        "71bb30ba8e37d478fcb80af53f3807ffe89704bd4784ed362d7604e64655edd0",
+        "15bc08ccb7bcbaa6b2072dece9b11900e285b44a7f883f1c66331840e39f1794",
+    ),
+    (Variant.ORIGINAL, 61): (
+        "a100451646bbaa13f8ba4c88a98b86c33ed71b98a8d848c5efa93af32bc23b70",
+        "a56818d704b1936e9130ea77b9a6732c320025c42f43512b2b0e9bb5cbdf9d82",
+    ),
+    (Variant.ORIGINAL, 62): (
+        "a100451646bbaa13f8ba4c88a98b86c33ed71b98a8d848c5efa93af32bc23b70",
+        "a56818d704b1936e9130ea77b9a6732c320025c42f43512b2b0e9bb5cbdf9d82",
+    ),
 }
 
 
@@ -701,19 +719,22 @@ def test_budget_edge_fill_matches_recorded_digest(variant, budget):
 DEPTH1_GEOMETRIES = [(1, 6, 1), (2, 6, 1), (4, 5, 1), (8, 5, 1), (13, 5, 2)]
 
 
-@pytest.mark.parametrize("levels", ["scanned", "cut", "level2", "below_level2"])
+@pytest.mark.parametrize("levels", ["scanned", "cut", "level2", "below_level2", "level3", "below_level3"])
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("block_size,fingerprint_bits,num_subtables", DEPTH1_GEOMETRIES)
 def test_evict_places_like_the_reference_bfs(block_size, fingerprint_bits, num_subtables, variant, levels):
-    # against a twin whose _evict is the reference search.  512 lets the scan
-    # run every level it can; 2b + 1 cuts the first level, so the search runs
-    # from the roots without a scan; 2 + 2b + 2b^2 scans level 2, and one less
-    # hands level 2 to the search from the roots
+    # against a twin whose _evict is the reference search.  512 lets the
+    # search keep duplicates at every level it can; 2b + 1 cuts the first
+    # level, so it counts first visits from level 1 without the depth-1 scan;
+    # 2 + 2b + 2b^2 keeps duplicates through level 2, and one less counts
+    # first visits from level 2 on; likewise at level 3
     budget = {
         "scanned": 512,
         "cut": 2 * block_size + 1,
         "level2": 2 + 2 * block_size + 2 * block_size**2,
         "below_level2": 1 + 2 * block_size + 2 * block_size**2,
+        "level3": 2 + 2 * block_size + 2 * block_size**2 + 2 * block_size**3,
+        "below_level3": 1 + 2 * block_size + 2 * block_size**2 + 2 * block_size**3,
     }[levels]
     stash = 3 if variant is Variant.SIMPLIFIED else 0
     params = FilterParams(capacity=100, block_size=block_size, fingerprint_bits=fingerprint_bits,
@@ -770,6 +791,91 @@ def test_evict_places_like_the_reference_bfs(block_size, fingerprint_bits, num_s
     assert 1 in depths and 0 in depths
     assert max(depths) >= 2 or levels == "cut"
     assert max(depths) >= 3 or levels != "scanned" or block_size > 2
+
+
+class _CountingCells(list):
+    """Cell ints that record the index of every read."""
+
+    def __init__(self, cells):
+        super().__init__(cells)
+        self.reads = []
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_deep_search_lists_each_level_once(variant):
+    # b=2, budget 20: levels 1-2 keep duplicates (14 visits fit), and level
+    # 3 would not, so level 2 is cut to its first visits before it is
+    # listed.  A search whose leaf is on level 3 reads the two roots in the
+    # depth-1 scan, then each entry of the roots, of level 1 and of level
+    # 2's first visits once, in order, as it lists their neighbours, then
+    # each of the 3 path cells twice as it rewrites it.  A search that
+    # started over from the roots would read the levels again.
+    block, budget = 2, 20
+    params = FilterParams(capacity=128, block_size=block, fingerprint_bits=6, variant=variant,
+                          seed=5, max_evictions=budget)
+    filt = CuckooFilter(params)
+    for element in counters(0, 110):
+        filt.insert(element)
+    blocks = wire_blocks(filt)
+
+    def loaded() -> CuckooFilter:
+        copy = CuckooFilter.from_bytes(filt.to_bytes())
+        copy.params = params  # the wire format drops the budget
+        return copy
+
+    def rewritten(result, after: CuckooFilter) -> list[int]:
+        return [cell for cell, slots in enumerate(wire_blocks(after)) if result and slots != blocks[cell]]
+
+    for element in counters(1000, 1000):
+        home, fp = filt._hash(element)
+        alt = filt._alt(home, fp)
+        if filt._occupancy[home] < block or filt._occupancy[alt] < block:
+            continue
+        twin = loaded()
+        expected = reference_evict(twin, home, alt, fp)
+        if len(path := rewritten(expected, twin)) == 3:
+            break
+    else:
+        pytest.fail("no search with its leaf on level 3")
+
+    def neighbours(level: list[int]) -> list[int]:
+        return [filt._alt(cell, fp) for cell in level for fp in blocks[cell]]
+
+    roots = sorted((home, alt))
+    level1 = neighbours(roots)
+    level2 = list(dict.fromkeys(cell for cell in neighbours(level1) if cell not in {*roots, *level1}))
+    subject = loaded()
+    subject._cells = cells = _CountingCells(subject._cell_ints())
+    assert subject._evict(home, alt, fp) == expected
+    head, tail = [*roots, *roots, *level1], len(cells.reads) - 2 * len(path)
+    assert cells.reads[: len(head)] == head
+    # as many of level 2's first visits as it takes to spend the budget
+    assert len(head) < tail and cells.reads[len(head) : tail] == level2[: tail - len(head)]
+    assert sorted(cells.reads[tail:]) == sorted(path * 2)
+    assert subject.to_bytes() == twin.to_bytes()
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_failed_search_in_a_full_table_lists_each_cell_once(variant):
+    # b=255 in 4 cells: level 1 keeps its 510 duplicate entries (512 visits
+    # fit the default budget), so level 2 would not fit.  Cut to its first
+    # visits, level 1 holds only the two cells that are not roots, and
+    # listing their neighbours finds nothing new: after the depth-1 scan,
+    # each cell is read once
+    params = FilterParams(capacity=1020, block_size=255, fingerprint_bits=2, variant=variant, seed=3)
+    filt = CuckooFilter(params)
+    assert filt.insert_many(np.arange(4 * 255, dtype=np.uint64)) == 4 * 255
+    filt._cells = cells = _CountingCells(filt._cells)
+    home, fp = filt._hash(encode_u64(10**6))
+    alt = filt._alt(home, fp)
+    roots = sorted((home, alt))
+    assert filt._evict(home, alt, fp) is None
+    assert cells.reads[:4] == [*roots, *roots]
+    assert sorted(cells.reads[4:]) == sorted({0, 1, 2, 3} - set(roots))
 
 
 def test_behaves_like_direct_blocked_cuckoo_table():

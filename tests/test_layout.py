@@ -10,8 +10,9 @@ Batch queries and ``to_bytes`` read the wire table from a view kept beside
 the cell ints.  The view tests check it after each kind of write against a
 twin filter whose view is re-encoded from every cell int before each read,
 count the cells each read re-encodes, and guard the list of methods that
-write the cells.  The cell ints are built from the view on the first
-scalar read or write; the lazy-state tests check that a loaded filter
+write the cells.  Every filter builds its cell ints on its first scalar
+read or write, from the view or, for an empty table, as zeros; the
+lazy-state tests check that a new filter does so and that a loaded filter
 serves batch reads and saves without them, and that each first scalar
 call leaves it as a filter that was never serialized.
 """
@@ -624,6 +625,22 @@ def test_load_query_save_leaves_the_cells_unbuilt(block_size, fingerprint_bits):
     assert loaded._cells is None
 
 
+def test_new_filter_builds_its_cell_ints_on_first_scalar_use():
+    params = FilterParams(capacity=100, block_size=4, fingerprint_bits=10)
+    filt = CuckooFilter(params)
+    values = np.arange(FILL_BASE, FILL_BASE + 100, dtype=np.uint64)
+    assert not filt.query_many(values).any()
+    empty = filt.to_bytes()
+    assert filt._cells is None
+    assert not filt.query(encode_u64(FILL_BASE))
+    assert filt._cells == [0] * params.num_cells
+    assert filt.to_bytes() == empty
+    # an empty table's ints are all zero: built without a pass over the view
+    fresh = CuckooFilter(params)
+    fresh._rows = None
+    assert fresh.insert(encode_u64(FILL_BASE)) is InsertOutcome.STORED
+
+
 FIRST_CALLS = {
     "query": lambda filt, members, new: [filt.query(encode_u64(v)) for v in (int(members[7]), int(new[0]))],
     "insert": lambda filt, members, new: [filt.insert(encode_u64(v)) for v in new.tolist()],
@@ -646,10 +663,9 @@ def test_first_scalar_call_on_a_loaded_filter(block_size, fingerprint_bits, call
     assert loaded.to_bytes() == afresh(twin)
 
 
-# every method that stores into the cell ints; each but _load_table, which
-# unbuilds them, and _cell_ints, which builds them from the view, flags the
-# cells it writes
-CELL_WRITERS = {"_place", "_evict", "insert_many", "_remove_from_cell", "_load_table", "_cell_ints"}
+# every method that stores into the cell ints; each but _cell_ints, which
+# builds them from the view, flags the cells it writes
+CELL_WRITERS = {"_place", "_evict", "insert_many", "_remove_from_cell", "_cell_ints"}
 # every method that reads the cell ints, each through the accessor
 CELL_READERS = {"_place", "_evict", "insert_many", "query", "_remove_from_cell", "_table_bytes"}
 ACCESSOR = ast.dump(ast.parse("self._cells or self._cell_ints()", mode="eval").body)
@@ -703,7 +719,7 @@ def test_only_known_writers_store_into_the_cells():
     writers = {function.name for function in functions if _cell_stores(function)}
     assert writers == CELL_WRITERS
     flagging = {function.name for function in functions if _cell_stores(function, "_stale")}
-    assert CELL_WRITERS - {"_load_table", "_cell_ints"} <= flagging
+    assert CELL_WRITERS - {"_cell_ints"} <= flagging
 
 
 def test_cell_ints_are_read_only_through_the_accessor():
