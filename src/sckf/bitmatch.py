@@ -2,47 +2,29 @@
 
 A block of small fingerprints is stored as contiguous ``width``-bit lanes,
 lane i at bits [i * width, (i + 1) * width) of one integer.  Matching a
-fingerprint against every lane at once uses a four-step carry trick
-instead of a per-lane loop:
-
-1. Broadcast the complement of the sought fingerprint to every lane by
-   multiplying it with the lane constant F (one bit set per lane).  XOR
-   with the word turns every matching lane into all-ones.
-2. Add F.  Each all-ones lane overflows and sends a carry into the bit
-   just above the lane.
-3. ``(q + F) ^ q ^ F`` isolates the positions where the addition carried,
-   i.e. the bits that differ from the carry-free sum.
-4. Mask with ``F << width`` to keep only the carry bit above each lane;
-   the lowest set bit then marks the first matching lane.
-
-A carry out of a matching lane can ripple through a directly adjacent lane
-whose value differs from the target only in its lowest bit, setting a
-spurious carry bit *above* the true match.  The lowest set bit is always a
-genuine match, so first-match semantics are unaffected.
-
-The functions take Python ints, which have no word size, so a block of
-any number of lanes is matched in one call: the top lane's carry bit
-simply lands above it.
-
-The numpy batch path cannot do that: a uint64 loses the carry out of a
-lane that ends at bit 63, so a full 64-bit word would hide a match in its
-top lane.  It uses the borrow form of the same test instead, the "has zero
-lane" trick of the reference cuckoo filter (Fan et al., CoNEXT 2014) and
-of "Bit Twiddling Hacks".  With L the lane constant of one word
-(``word_lane_constants``) and H = L << (width - 1) the top bit of each
-lane:
+fingerprint against every lane at once uses the "has zero lane" test of
+the reference cuckoo filter (Fan et al., CoNEXT 2014) and of "Bit
+Twiddling Hacks" instead of a per-lane loop.  With L the lane constant
+(one bit at the bottom of each lane) and H = L << (width - 1) the top bit
+of each lane:
 
 1. ``x = word ^ (fingerprint * L)`` turns every matching lane into zero.
-2. ``(x - L) & ~x & H`` is nonzero iff some lane of x is zero: lanes
-   below the lowest zero lane are nonzero, so they absorb their
-   subtracted 1 without a borrow, and the zero lane turns all-ones,
-   flagging its top bit; a nonzero lane with no borrow coming in never
-   flags, since ``~x`` clears any top bit that x itself set.
+2. ``(x - L) & ~x & H`` flags the top bit of each zero lane: lanes below
+   the lowest zero lane are nonzero, so they absorb their subtracted 1
+   without a borrow, and the zero lane turns all-ones; a nonzero lane with
+   no borrow coming in never flags, since ``~x`` clears any top bit that
+   x itself set.
 
-A borrow out of a zero lane can flag the lane above it spuriously, so
-only "any flag" is meaningful, which is all a membership test needs.
-A borrow out of the top lane lands in bits that no flag covers.
-Empty lanes (zero) never match, because fingerprints are at least 1.
+A borrow out of a zero lane can flag the lane above it spuriously, but
+never one below, so the lowest flag always marks the first matching lane.
+A borrow out of the top lane lands in bits that no flag covers.  Empty
+lanes (zero) never match a fingerprint, which is at least 1; searching
+for 0 finds the lowest empty lane.
+
+The same expression runs on Python ints, which have no word size, so a
+block of any number of lanes is matched in one call, and on numpy uint64
+arrays of full 64-bit words, where every wrap lands outside the flags
+(``query_many`` takes each word's L from ``word_lane_constants``).
 """
 
 import operator
@@ -76,15 +58,14 @@ def word_lane_constants(width: int, lanes: int) -> list[int]:
 
 
 def match_bits(word: int, fingerprint: int, lane_constant: int, width: int) -> int:
-    """Carry bits of the lane-match addition, masked to lane boundaries.
+    """Top bit of each zero lane of ``word ^ fingerprint * lane_constant``.
 
-    Bit ``(i + 1) * width`` is set when lane ``i`` matches ``fingerprint``
-    (or received a carry rippling up from a lower matching lane).  Zero
+    Bit ``(i + 1) * width - 1`` is set when lane ``i`` matches
+    ``fingerprint`` (or, above a matching lane, took its borrow).  Zero
     means no lane matches.
     """
-    ones = (1 << width) - 1
-    q = word ^ ((fingerprint ^ ones) * lane_constant)
-    return ((q + lane_constant) ^ q ^ lane_constant) & (lane_constant << width)
+    x = word ^ fingerprint * lane_constant
+    return (x - lane_constant) & ~x & lane_constant << width - 1
 
 
 def find_fingerprint(word: int, fingerprint: int, lane_constant: int, width: int) -> int | None:
@@ -92,8 +73,7 @@ def find_fingerprint(word: int, fingerprint: int, lane_constant: int, width: int
     r = match_bits(word, fingerprint, lane_constant, width)
     if r == 0:
         return None
-    low = r & -r
-    return (low.bit_length() - 1) // width - 1
+    return ((r & -r).bit_length() - 1) // width
 
 
 def check_width(width: int) -> None:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import hashing
+from . import bitmatch, hashing
 from .filter import check_count
 
 _STREAM_A = 0
@@ -34,7 +34,7 @@ class BloomFilter:
         check_count(num_hashes, "num_hashes")
         self.num_bits = num_bits
         self.num_hashes = num_hashes
-        self.seed = seed & hashing.MASK64
+        self.seed = bitmatch.as_integer(seed, "seed") & hashing.MASK64
         self._seed_a = hashing.derive_seed(self.seed, _STREAM_A)
         self._seed_b = hashing.derive_seed(self.seed, _STREAM_B)
         self._bits = np.zeros(num_bits, dtype=bool)

@@ -19,13 +19,14 @@ scalar insert, query or delete makes one hash call: ``hashing.hash_bytes``
 returns the home and fingerprint hashes together, from two seeds.
 
 Each cell is one Python int that holds slot k at bits [k*f, (k+1)*f):
-exactly the cell's block in the v1 wire format.  A block is probed for a
-fingerprint, or for its lowest empty slot, with one bit-parallel lane match
-over the whole int, whatever its width.  A cell's occupied slots are the
-prefix [0, occupancy) unless a delete left a hole (an eviction rewrites
-full slots, then inserts at its leaf, so only a delete can); an insert
-appends at slot ``occupancy`` without a lane search when the bits from
-there up are zero, and otherwise fills the lowest empty slot.  Both pick
+exactly the cell's block in the v1 wire format.  A scalar query, a delete
+and a hole fill probe a block for a fingerprint, or for its lowest empty
+slot, with the "has zero lane" test of bitmatch.match_bits over the whole
+int, whatever its width.  A cell's occupied slots are the prefix
+[0, occupancy) unless a delete left a hole (an eviction rewrites full
+slots, then inserts at its leaf, so only a delete can); an insert appends
+at slot ``occupancy`` without a lane search when the bits from there up
+are zero, and otherwise fills the lowest empty slot.  Both pick
 the same slot.  ``insert_many`` runs that append in place for a whole
 counter batch, in the home cell or, when the home is full, in the
 alternate; a cell with a hole and a pair of full cells go to ``_place``,
@@ -40,9 +41,9 @@ view and checks it there.  No filter builds its cell ints until its
 first scalar read or write, which builds them from the view, so a filter
 that is loaded, batch queried and saved never builds them.
 ``query_many`` hashes and probes a chunk of its batch at a time and
-compares whole wire words: per word, one borrow-form lane match (see
-bitmatch) tests all the lanes lying wholly inside it, and only a slot
-that straddles two words is extracted on its own.
+compares whole wire words: per word, the same test, spelled in place on
+the uint64 columns, checks all the lanes lying wholly inside it, and only
+a slot that straddles two words is extracted on its own.
 
 ``insert_hashed`` takes a global home index in [0, num_cells) and a
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
@@ -185,6 +186,8 @@ class FilterParams:
     max_evictions: int = 512
 
     def __post_init__(self):
+        # a variant given by value is stored as the enum; an unknown one is a ValueError
+        object.__setattr__(self, "variant", Variant(self.variant))
         check_count(self.capacity, "capacity")
         check_block_size(self.block_size)
         bitmatch.check_width(self.fingerprint_bits)
@@ -198,7 +201,7 @@ class FilterParams:
                 "the original variant needs a power-of-two cell count; "
                 f"num_subtables={self.num_subtables} breaks that"
             )
-        object.__setattr__(self, "seed", self.seed & hashing.MASK64)
+        object.__setattr__(self, "seed", bitmatch.as_integer(self.seed, "seed") & hashing.MASK64)
 
     @property
     def num_cells(self) -> int:
@@ -460,8 +463,8 @@ class CuckooFilter(_Addressing):
         chunk is hashed, its alternates computed and both cells compared,
         so no temporary outlives its chunk and each stays in cache.  Each
         wire word of a probed block is tested for the fingerprint in all
-        of its whole lanes at once, with the borrow form of the lane match
-        (see bitmatch); only a slot that straddles two words is extracted
+        of its whole lanes at once, with the lane match of bitmatch
+        spelled in place; only a slot that straddles two words is extracted
         and compared on its own.
         """
         values = hashing.counter_batch(values)

@@ -1,12 +1,13 @@
 """Shared test helpers: element encoding, the one-seed byte hash, the
-loop oracles for the lane matcher (scalar and numpy), a numpy lane
-matcher, an independent table oracle, the per-insert reference for
-bulk fills, and the reference eviction search."""
+loop oracles for the lane matcher (scalar and numpy), the lane matcher's
+first match on numpy arrays, an independent table oracle, the per-insert
+reference for bulk fills, and the reference eviction search."""
 
 import random
 
 import numpy as np
 
+from sckf import bitmatch
 from sckf.filter import InsertOutcome
 from sckf.hashing import MASK64, encode_u64, mix64
 
@@ -19,44 +20,21 @@ def hash_bytes_one_seed(data: bytes, seed: int) -> int:
     return mix64(h ^ len(data))
 
 
-def lanes_per_word(width: int) -> int:
-    """Most width-bit lanes match_bits_many can search in a uint64 word."""
-    return 63 // width
-
-
-def match_bits_many(
-    words: np.ndarray, fingerprints: np.ndarray, lane_constant: int, width: int
-) -> np.ndarray:
-    """bitmatch.match_bits over parallel uint64 arrays of words and fingerprints.
-
-    The top lane's carry bit must land inside the word, so lanes * width
-    may not exceed 63 (which also keeps the addition from overflowing).
-    """
-    if lane_constant.bit_length() + width > 64:
-        raise ValueError(
-            f"{lane_constant.bit_count()} lanes of {width} bits exceed the 63-bit budget "
-            "(the top lane's carry bit must stay inside the uint64 word)"
-        )
-    w = np.asarray(words, dtype=np.uint64)
-    fp = np.asarray(fingerprints, dtype=np.uint64)
-    ones = np.uint64((1 << width) - 1)
-    lane_c = np.uint64(lane_constant)
-    q = w ^ ((fp ^ ones) * lane_c)
-    return ((q + lane_c) ^ q ^ lane_c) & np.uint64(lane_constant << width)
-
-
 def find_fingerprint_many(
     words: np.ndarray, fingerprints: np.ndarray, lane_constant: int, width: int
 ) -> np.ndarray:
-    """First matching lane per element as int64, -1 where absent, read off
-    the match_bits_many carry bits."""
-    r = match_bits_many(words, fingerprints, lane_constant, width)
+    """bitmatch.find_fingerprint over parallel uint64 arrays of words and
+    fingerprints: first matching lane per element as int64, -1 where absent,
+    read off the lowest flag of bitmatch.match_bits run on the arrays."""
+    r = bitmatch.match_bits(
+        np.asarray(words, dtype=np.uint64), np.asarray(fingerprints, dtype=np.uint64),
+        lane_constant, width,
+    )
     low = r & (~r + np.uint64(1))
     # lowest set bit is an exact power of two, so float64 log2 is exact
     safe = np.where(low == 0, np.uint64(1), low)
     position = np.log2(safe.astype(np.float64)).astype(np.int64)
-    lane = position // width - 1
-    return np.where(r == 0, np.int64(-1), lane)
+    return np.where(r == 0, np.int64(-1), position // width)
 
 
 def naive_find(word: int, fingerprint: int, width: int, lanes: int) -> int | None:

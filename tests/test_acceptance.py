@@ -14,7 +14,6 @@ import numpy as np
 from conftest import (
     BlockedCuckooTable,
     find_fingerprint_many,
-    lanes_per_word,
     naive_find,
     naive_find_many,
 )
@@ -50,11 +49,12 @@ def test_c01_lane_match_agrees_with_loop_oracle_everywhere():
     randomized = 0
     rng = np.random.default_rng(20240901)
     for width in (4, 8, 12, 16, 31):
-        lanes = lanes_per_word(width)
+        # full uint64 words: at widths 4, 8 and 16 the top lane ends at bit 63
+        lanes = 64 // width
         const = bitmatch.make_lane_constant(width, lanes)
         span_mask = np.uint64((1 << (lanes * width)) - 1)
         cases = 1_000_000
-        words = rng.integers(0, 1 << 63, size=cases, dtype=np.uint64) & span_mask
+        words = rng.integers(0, 1 << 64, size=cases, dtype=np.uint64) & span_mask
         fps = rng.integers(1, 1 << width, size=cases, dtype=np.uint64)
         # plant the fingerprint into a random lane for a third of the cases,
         # otherwise wide lanes would produce almost no true matches
@@ -65,6 +65,7 @@ def test_c01_lane_match_agrees_with_loop_oracle_everywhere():
         cleared = words & ~(ones << shift)
         words = np.where(planted, cleared | (fps << shift), words)
 
+        # bitmatch.match_bits itself, run on the uint64 arrays
         got = find_fingerprint_many(words, fps, const, width)
         want = naive_find_many(words, fps, width, lanes)
         assert np.array_equal(got, want), f"width {width} diverged from the oracle"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import find_fingerprint_many, lanes_per_word, match_bits_many, naive_find
+from conftest import find_fingerprint_many, naive_find
 from sckf import bitmatch
 
 
@@ -33,17 +33,36 @@ def test_lane_constant_rejects_bad_geometry():
         bitmatch.make_lane_constant(4, 0)
 
 
-def test_worked_example_carry_bits():
-    # word 0x3073 holds lanes [3, 7, 0, 3]; searching 0x3 carries out of
-    # lanes 0 and 3, so bits 4 and 16 are set and the first match is lane 0
+def test_worked_example_flag_bits():
+    # word 0x3073 holds lanes [3, 7, 0, 3]; x = 0x3073 ^ 0x3333 = 0x0340 is
+    # zero in lanes 0 and 3, so their top bits 3 and 15 are flagged and the
+    # first match is lane 0
     constant = bitmatch.make_lane_constant(4, 4)
-    assert bitmatch.match_bits(0x3073, 0x3, constant, 4) == (1 << 4) | (1 << 16)
+    assert bitmatch.match_bits(0x3073, 0x3, constant, 4) == (1 << 3) | (1 << 15)
     assert bitmatch.find_fingerprint(0x3073, 0x3, constant, 4) == 0
+
+
+def test_borrow_flags_lane_above_a_match_but_first_match_stays_exact():
+    # lanes [3, 2] searched for 3: x holds lanes [0, 1], and the borrow out
+    # of lane 0 turns lane 1 all-ones, so both lanes flag
+    constant = bitmatch.make_lane_constant(4, 2)
+    assert bitmatch.match_bits(0x23, 0x3, constant, 4) == (1 << 3) | (1 << 7)
+    assert bitmatch.find_fingerprint(0x23, 0x3, constant, 4) == 0
+
+
+def test_match_in_top_lane_of_a_uint64_word():
+    # b=4, f=16 fills the word: a match in lane 3 flags bit 63
+    constant = bitmatch.make_lane_constant(16, 4)
+    word = np.array([0xBEEF << 48 | 0x0001_0002_0003], dtype=np.uint64)
+    fp = np.array([0xBEEF], dtype=np.uint64)
+    assert bitmatch.match_bits(word, fp, constant, 16).tolist() == [1 << 63]
+    assert find_fingerprint_many(word, fp, constant, 16).tolist() == [3]
+    assert bitmatch.find_fingerprint(int(word[0]), 0xBEEF, constant, 16) == 3
 
 
 def test_empty_word_never_matches():
     for width in (2, 4, 8, 16, 31):
-        lanes = lanes_per_word(width)
+        lanes = 64 // width
         constant = bitmatch.make_lane_constant(width, lanes)
         for fp in (1, (1 << width) - 1):
             assert bitmatch.find_fingerprint(0, fp, constant, width) is None
@@ -60,23 +79,25 @@ def test_exhaustive_small_geometries(width, max_lanes):
                 )
 
 
-def test_carry_bits_confined_to_lane_boundaries():
+def test_flags_confined_to_lane_top_bits():
     rng = np.random.default_rng(11)
-    for width in (3, 5, 8, 13):
-        lanes = lanes_per_word(width)
+    for width in (3, 5, 8, 13, 16):
+        lanes = 64 // width
         constant = bitmatch.make_lane_constant(width, lanes)
-        boundary_mask = constant << width
-        words = rng.integers(0, 1 << (lanes * width), size=2000, dtype=np.uint64)
+        top_bits = constant << width - 1
+        span_mask = np.uint64((1 << (lanes * width)) - 1)
+        words = rng.integers(0, 1 << 64, size=2000, dtype=np.uint64) & span_mask
         fps = rng.integers(1, 1 << width, size=2000, dtype=np.uint64)
-        for word, fp in zip(words.tolist(), fps.tolist()):
-            r = bitmatch.match_bits(word, fp, constant, width)
-            assert r & ~boundary_mask == 0
+        flags = bitmatch.match_bits(words, fps, constant, width)
+        assert not (flags & ~np.uint64(top_bits)).any()
+        for word, fp, flag in zip(words.tolist(), fps.tolist(), flags.tolist()):
+            assert bitmatch.match_bits(word, fp, constant, width) == flag
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), width=st.sampled_from([2, 3, 4, 6, 8, 12, 16, 21, 31]))
 def test_find_matches_naive_property(data, width):
-    lanes = lanes_per_word(width)
+    lanes = 64 // width
     constant = bitmatch.make_lane_constant(width, lanes)
     word = data.draw(st.integers(min_value=0, max_value=(1 << (lanes * width)) - 1))
     fp = data.draw(st.integers(min_value=1, max_value=(1 << width) - 1))
@@ -85,7 +106,7 @@ def test_find_matches_naive_property(data, width):
     )
 
 
-def test_find_in_words_returns_lowest_slot():
+def test_find_returns_lowest_slot_of_an_80_bit_cell():
     # ten 8-bit slots span 80 bits of one int, past any 64-bit word
     width = 8
     constant = bitmatch.make_lane_constant(width, 10)
@@ -114,28 +135,12 @@ def test_find_matches_naive_on_dense_multiword_cells(data, geometry):
     )
 
 
-# -- the numpy matcher and lane count in conftest (test-only oracles) --------
-
-def test_lanes_per_word_leaves_carry_room():
-    for width in range(2, 33):
-        lanes = lanes_per_word(width)
-        assert lanes * width <= 63
-        assert (lanes + 1) * width > 63
-
-
-def test_match_bits_many_keeps_carry_budget():
-    with pytest.raises(ValueError):
-        # 64 bits leave no carry room inside a uint64 word
-        match_bits_many(
-            np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64),
-            bitmatch.make_lane_constant(4, 16), 4,
-        )
-
+# -- the lane match on numpy uint64 arrays ----------------------------------
 
 def test_vectorized_forms_match_scalar():
     rng = np.random.default_rng(7)
     for width in (4, 8, 12, 16, 31):
-        lanes = lanes_per_word(width)
+        lanes = 64 // width
         constant = bitmatch.make_lane_constant(width, lanes)
         words = rng.integers(0, 1 << (lanes * width), size=5000, dtype=np.uint64)
         fps = rng.integers(1, 1 << width, size=5000, dtype=np.uint64)

@@ -69,8 +69,11 @@ def test_params_validation():
         ("capacity", lambda: FilterParams(10.5, 4, 8)),
         ("block_size", lambda: planner.PlanRequest(n=1000, block_size=8.5)),
         ("n", lambda: planner.PlanRequest(n=1000.5, block_size=8)),
+        ("seed", lambda: FilterParams(10, 4, 8, seed=1.5)),
+        ("seed", lambda: BloomFilter(64, 2, seed=1.5)),
     ],
-    ids=["stash", "evictions", "block", "width", "subtables", "capacity", "plan-block", "plan-n"],
+    ids=["stash", "evictions", "block", "width", "subtables", "capacity", "plan-block", "plan-n",
+         "seed", "bloom-seed"],
 )
 def test_non_integer_geometry_is_a_type_error_naming_it(name, build):
     with pytest.raises(TypeError, match=f"^{name} must be an integer"):
@@ -83,6 +86,21 @@ def test_stash_requires_simplified_variant():
             capacity=10, block_size=4, fingerprint_bits=8,
             variant=Variant.ORIGINAL, stash_capacity=1,
         )
+
+
+def test_variant_given_by_value_is_the_enum_and_keeps_its_checks():
+    params = FilterParams(capacity=10, block_size=4, fingerprint_bits=8, variant="original")
+    assert params.variant is Variant.ORIGINAL
+    assert params == FilterParams(capacity=10, block_size=4, fingerprint_bits=8, variant=Variant.ORIGINAL)
+    simplified = FilterParams(capacity=10, block_size=4, fingerprint_bits=8, variant="simplified")
+    assert alt_location(CellIndex(0, 5), 3, simplified) == CellIndex(0, 5 ^ 3)
+    filt = CuckooFilter(simplified)
+    filt.insert(b"alpha")
+    assert CuckooFilter.from_bytes(filt.to_bytes()).params.variant is Variant.SIMPLIFIED
+    with pytest.raises(ValueError, match="power-of-two"):
+        FilterParams(capacity=10, block_size=4, fingerprint_bits=8, num_subtables=3, variant="original")
+    with pytest.raises(ValueError):
+        FilterParams(capacity=10, block_size=4, fingerprint_bits=8, variant="blocked")
 
 
 def test_original_variant_requires_power_of_two_subtables():
