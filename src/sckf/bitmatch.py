@@ -83,8 +83,12 @@ def check_width(width: int) -> None:
 
 
 def as_integer(value, name: str) -> int:
-    """``value`` through ``operator.index`` (numpy integers pass), else a TypeError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
+    """``value`` through ``operator.index`` (numpy integers pass), else a
+    TypeError naming it; a bool, which ``operator.index`` reads as 0 or 1,
+    is refused too."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, not {type(value).__name__}")

@@ -9,8 +9,13 @@ Every experiment is a pure function of its parameters and seeds, so
 identical seeds give byte-identical CSV and JSON.  Each cuckoo trial runs
 through ``_trial``, which builds, fills and probes one seeded filter; trials
 never share state, so callers are free to fan them out across processes,
-and the built-in runners stay sequential.  Records report the measured
-rate next to the bound the analysis predicts for the same geometry.
+and the built-in runners stay sequential.  A trial hashes its members once
+and skips the fill when pigeonhole already decides it: more members than
+the table and stashes hold, or, in the simplified variant, more members
+homed in one subtable than that subtable's slots and stash hold.  The
+skipped fill would have failed, so every record is the same either way.
+Records report the measured rate next to the bound the analysis predicts
+for the same geometry.
 """
 
 import csv
@@ -122,15 +127,34 @@ def _trial(n: int, block_size: int, fingerprint_bits: int, num_subtables: int, s
     """Build one seeded filter and fill it with the n members: None when the
     fill failed, else the false-positive hits among ``queries`` probes.
 
-    A trial with more members than its table slots and stashes hold is
-    not filled, since the fill would fail for certain after hashing all n
-    members; nor is a probed trial with more members than table slots,
-    which fprate's bound refuses.
+    The members are hashed once, and the fill runs from those hashes.  Two
+    pigeonhole checks return None without a fill, where the fill would
+    fail for certain:
+
+    * before hashing, when n exceeds the table slots plus every stash (or,
+      for a probed trial, the table slots alone, which fprate's bound
+      requires);
+    * after hashing, in the simplified variant, when the members whose
+      home lies in one subtable outnumber its ``b * 2**f`` slots plus its
+      stash.  Both candidate cells of a member and its stash lie in its
+      home's subtable, so those members cannot all land.  The original
+      variant's alternate can leave the subtable, so it is always filled.
     """
     filt = build_filter(n, block_size, fingerprint_bits, num_subtables, seed, variant, stash_capacity)
     params = filt.params
     room = params.total_slots if queries else params.total_slots + params.num_subtables * params.stash_capacity
-    if n > room or insert_members(filt, n) < n:
+    if n > room:
+        return None
+    # the cell ints before the hashes, as insert_many builds them: built
+    # after, construction's peak RSS read about 0.3 MiB higher
+    filt._cells or filt._cell_ints()
+    homes, fps = filt.hash_many(member_values(n))
+    if params.variant is Variant.SIMPLIFIED:
+        # homes < 2^63, so the int64 view bincount needs holds the same values
+        demand = np.bincount(homes.view(np.int64) >> params.fingerprint_bits).max()
+        if demand > (params.block_size << params.fingerprint_bits) + params.stash_capacity:
+            return None
+    if filt._fill(homes, fps) < n:
         return None
     return int(filt.query_many(probe_values(n, queries)).sum()) if queries else 0
 

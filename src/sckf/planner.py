@@ -95,7 +95,7 @@ def false_positive_bound(n: int, num_cells: int, block_size: int, fingerprint_bi
     elements at load ``1 - delta``; the bound does not degrade when some
     of the n live in the stash.
     """
-    if n < 0:
+    if as_integer(n, "n") < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     check_count(num_cells, "num_cells")
     check_block_size(block_size)
@@ -171,6 +171,8 @@ class PlanResult:
 
 def plan(request: PlanRequest) -> PlanResult:
     """Geometry satisfying every bound in the request, or raise."""
+    if not isinstance(request, PlanRequest):
+        raise TypeError(f"plan takes a PlanRequest, not {type(request).__name__}")
     n = request.n
     s = request.failure_exponent
     delta = request.load_slack

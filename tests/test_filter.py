@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 import sys
 import tracemalloc
 
@@ -71,13 +72,33 @@ def test_params_validation():
         ("n", lambda: planner.PlanRequest(n=1000.5, block_size=8)),
         ("seed", lambda: FilterParams(10, 4, 8, seed=1.5)),
         ("seed", lambda: BloomFilter(64, 2, seed=1.5)),
+        # operator.index takes a bool as 0 or 1: refused, not read as a count
+        ("max_evictions", lambda: FilterParams(10, 4, 8, max_evictions=True)),
+        ("capacity", lambda: FilterParams(True, 4, 8)),
+        ("block_size", lambda: FilterParams(10, True, 8)),
+        ("n", lambda: planner.false_positive_bound(1.5, 10, 4, 8)),
     ],
     ids=["stash", "evictions", "block", "width", "subtables", "capacity", "plan-block", "plan-n",
-         "seed", "bloom-seed"],
+         "seed", "bloom-seed", "bool-evictions", "bool-capacity", "bool-block", "fp-bound-n"],
 )
 def test_non_integer_geometry_is_a_type_error_naming_it(name, build):
     with pytest.raises(TypeError, match=f"^{name} must be an integer"):
         build()
+
+
+@pytest.mark.parametrize(
+    "expected, call",
+    [
+        ("FilterParams", lambda: CuckooFilter("x")),
+        ("FilterParams", lambda: hash_element(b"x", None)),
+        ("FilterParams", lambda: alt_location(CellIndex(0, 0), 1, None)),
+        ("PlanRequest", lambda: planner.plan("x")),
+    ],
+    ids=["filter", "hash-element", "alt-location", "plan"],
+)
+def test_wrong_argument_type_is_a_type_error_naming_the_expected_type(expected, call):
+    with pytest.raises(TypeError, match=f"{expected}, not (str|NoneType)$"):
+        call()
 
 
 def test_stash_requires_simplified_variant():
@@ -235,6 +256,11 @@ def test_alt_location_rejects_bad_fingerprint():
     for location in (CellIndex(5, 3), CellIndex(1, 0), CellIndex(-1, 0), CellIndex(0, 300),
                      CellIndex(0, 256), CellIndex(0, -1)):
         with pytest.raises(ValueError):
+            alt_location(location, 7, params)
+    # a location that is not a (subtable, local) pair is named in the error
+    for location in ((0,), (0, 1, 2), ()):
+        message = r"^a cell is \(subtable, local\), got " + re.escape(repr(location))
+        with pytest.raises(ValueError, match=message):
             alt_location(location, 7, params)
     for location, fp in ((CellIndex(0.0, 3), 7), (CellIndex(0, "3"), 7), (CellIndex(0, 3), 7.0)):
         with pytest.raises(TypeError):

@@ -5,6 +5,7 @@ import io
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sckf import harness, planner
@@ -243,6 +244,78 @@ def test_trial_outcome_around_the_table_and_stash_room(stash_capacity):
             filled = harness.insert_members(filt, n) == n
             outcome = harness._trial(n, 2, 2, 2, seed, Variant.SIMPLIFIED, stash_capacity)
             assert outcome == (0 if filled else None), (n, seed)
+
+
+def _fills(n, block_size, fingerprint_bits, num_subtables, seed, variant, stash_capacity):
+    """Whether the plain fill, with no pigeonhole check, lands all n members."""
+    filt = harness.build_filter(n, block_size, fingerprint_bits, num_subtables, seed, variant,
+                                stash_capacity)
+    return harness.insert_members(filt, n) == n
+
+
+def _c05_case(f, variant, stash_capacity):
+    """A C05 width at a fifth of its n; the original variant rounds its
+    subtables up to a power of two, as loadsweep does."""
+    n = 20_000
+    subtables = planner.subtables_for_load(n, 4, f, 0.9)
+    if variant is Variant.ORIGINAL:
+        subtables = harness._next_power_of_two(subtables)
+    return n, 4, f, subtables, variant, stash_capacity, range(3)
+
+
+EQUIVALENCE_CASES = {
+    f"f{f}-{variant.value}-stash{stash}": _c05_case(f, variant, stash)
+    for f in range(2, 11)
+    for variant, stash in ((Variant.SIMPLIFIED, 0), (Variant.SIMPLIFIED, 3), (Variant.ORIGINAL, 0))
+}
+# 16-slot subtables: seeds 0-2 home 17-19 members in one subtable and fill
+# through its stash; seeds 3-5 home 20 there and fail
+EQUIVALENCE_CASES["stash-window"] = (200, 4, 2, 16, Variant.SIMPLIFIED, 3, range(6))
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_trial_fails_exactly_when_the_plain_fill_fails(case):
+    n, b, f, subtables, variant, stash_capacity, seeds = EQUIVALENCE_CASES[case]
+    for seed in seeds:
+        filled = _fills(n, b, f, subtables, seed, variant, stash_capacity)
+        for queries in (0, 1000):
+            outcome = harness._trial(n, b, f, subtables, seed, variant, stash_capacity, queries)
+            assert (outcome is None) == (not filled), (seed, queries)
+
+
+class _FillReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("queries", [0, 10])
+def test_trial_decided_by_subtable_demand_never_fills(monkeypatch, queries):
+    # b=2, f=2, 4 subtables of 8 slots: members homed in one subtable
+    # decide the trial only past its slots plus its stash, and only in
+    # the simplified variant
+    n, b, f, subtables, stash_capacity = 28, 2, 2, 4, 2
+    slots = b << f
+
+    def fill(self, homes, fps):
+        raise _FillReached
+
+    monkeypatch.setattr(harness.CuckooFilter, "_fill", fill)
+    seen = set()
+    for seed in range(200):
+        for variant, stash in ((Variant.SIMPLIFIED, stash_capacity), (Variant.ORIGINAL, 0)):
+            filt = harness.build_filter(n, b, f, subtables, seed, variant, stash)
+            homes, _ = filt.hash_many(harness.member_values(n))
+            demand = np.bincount(homes.astype(np.int64) >> f).max()
+            decided = variant is Variant.SIMPLIFIED and demand > slots + stash
+            try:
+                outcome = harness._trial(n, b, f, subtables, seed, variant, stash, queries)
+            except _FillReached:
+                assert not decided, (seed, variant)
+            else:
+                assert decided and outcome is None, (seed, variant)
+            seen.add((variant, decided, demand > slots))
+    # a decided trial, one within its stash, and an original-variant overshoot that reaches the fill
+    assert {(Variant.SIMPLIFIED, True, True), (Variant.SIMPLIFIED, False, True),
+            (Variant.ORIGINAL, False, True)} <= seen
 
 
 def test_variant_compare_rejects_non_power_of_two():

@@ -650,7 +650,8 @@ FIRST_CALLS = {
 
 
 @pytest.mark.parametrize("call", sorted(FIRST_CALLS))
-@pytest.mark.parametrize("block_size,fingerprint_bits", LOADED_GEOMETRIES)
+# and four and sixteen words, whose cell ints are read a row at a time
+@pytest.mark.parametrize("block_size,fingerprint_bits", LOADED_GEOMETRIES + [(32, 8), (255, 4)])
 def test_first_scalar_call_on_a_loaded_filter(block_size, fingerprint_bits, call):
     # at load 0.85 some of the inserts evict
     loaded, twin, members = view_pair(block_size, fingerprint_bits, 0.85)
@@ -665,9 +666,9 @@ def test_first_scalar_call_on_a_loaded_filter(block_size, fingerprint_bits, call
 
 # every method that stores into the cell ints; each but _cell_ints, which
 # builds them from the view, flags the cells it writes
-CELL_WRITERS = {"_place", "_evict", "insert_many", "_remove_from_cell", "_cell_ints"}
+CELL_WRITERS = {"_place", "_evict", "_fill", "_remove_from_cell", "_cell_ints"}
 # every method that reads the cell ints, each through the accessor
-CELL_READERS = {"_place", "_evict", "insert_many", "query", "_remove_from_cell", "_table_bytes"}
+CELL_READERS = {"_place", "_evict", "insert_many", "_fill", "query", "_remove_from_cell", "_table_bytes"}
 ACCESSOR = ast.dump(ast.parse("self._cells or self._cell_ints()", mode="eval").body)
 LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
                  "__setitem__", "__delitem__", "__iadd__"}
