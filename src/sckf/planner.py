@@ -23,6 +23,7 @@ result before returning it.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .bitmatch import MAX_WIDTH, as_integer, check_width
@@ -173,10 +174,7 @@ def plan(request: PlanRequest) -> PlanResult:
     """Geometry satisfying every bound in the request, or raise."""
     if not isinstance(request, PlanRequest):
         raise TypeError(f"plan takes a PlanRequest, not {type(request).__name__}")
-    n = request.n
-    s = request.failure_exponent
-    delta = request.load_slack
-    block = request.block_size
+    n, s, delta, block = request.n, request.failure_exponent, request.load_slack, request.block_size
     warnings = []
     if block is None:
         block = min_block_size(delta)
@@ -303,9 +301,15 @@ def _verify(result: PlanResult, request: PlanRequest) -> None:
             raise RuntimeError(f"planner produced an inconsistent result: {message}")
 
 
-# input checks shared by the bounds, PlanRequest and the CLI; each raises
-# ValueError out of range, NaN fails every one of them, and a non-integer n
-# is a TypeError
+# input checks shared by the bounds, PlanRequest and the CLI: out of range is
+# a ValueError (NaN fails every one), and a non-integer n or a non-real value,
+# a str, None or bool, a TypeError naming the parameter before any comparison
+
+def _real(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
+    return value
+
 
 def check_n(n: int) -> None:
     if as_integer(n, "n") < 2:
@@ -313,20 +317,20 @@ def check_n(n: int) -> None:
 
 
 def check_failure_exponent(s: float) -> None:
-    if not (math.isfinite(s) and s >= 1):
+    if not (math.isfinite(_real(s, "failure_exponent")) and s >= 1):
         raise ValueError(f"failure exponent must be finite and at least 1, got {s}")
 
 
 def check_load_slack(delta: float, upper: float = MAX_LOAD_SLACK) -> None:
-    if not 0.0 < delta < upper:
+    if not 0.0 < _real(delta, "load_slack") < upper:
         raise ValueError(f"load slack must be in (0, {upper}), got {delta}")
 
 
 def check_load(load: float) -> None:
-    if not 0.0 < load <= 1.0:
+    if not 0.0 < _real(load, "load") <= 1.0:
         raise ValueError(f"load must be in (0, 1], got {load}")
 
 
 def check_fp_rate(rate: float) -> None:
-    if not 0.0 < rate < 1.0:
+    if not 0.0 < _real(rate, "target_fp_rate") < 1.0:
         raise ValueError(f"target false-positive rate must be in (0, 1), got {rate}")

@@ -1096,6 +1096,17 @@ def test_insert_hashed_takes_numpy_integers():
         numpy_fed.insert_hashed(5, 3.0)
 
 
+@pytest.mark.parametrize("home,fingerprint,name", [(True, 1, "home"), (1, True, "fingerprint"),
+                                                   (False, 3, "home"), (5, False, "fingerprint")])
+def test_insert_hashed_refuses_bools(home, fingerprint, name):
+    # operator.index reads a bool as 0 or 1, so True, 1 would store fingerprint 1 in cell 1
+    filt = _holed_filter()
+    before = filt.to_bytes()
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, not bool"):
+        filt.insert_hashed(home, fingerprint)
+    assert filt.to_bytes() == before
+
+
 def _churn(variant: Variant) -> tuple[CuckooFilter, list[str], int]:
     """Seeded churn on a 512-slot table: fill to ~0.98 load, delete a third,
     reinsert it, then 3000 interleaved deletes and inserts.  Returns the

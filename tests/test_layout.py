@@ -588,12 +588,16 @@ def test_reads_inside_insert_many_see_a_current_view():
     for value in members[::5].tolist():
         assert subject.delete(encode_u64(value)) and twin.delete(encode_u64(value))
     num_cells = subject.params.num_cells
+    lanes = [(np.uint64(slot * 12), np.uint64(0xFFF)) for slot in range(4)]  # one wire word per block
     current = []
 
     def spy(home: int, fp: int) -> InsertOutcome:
         # reads from inside the bulk loop's slow path: the view, the counts, a round trip
         view = subject._wire_rows().tobytes()
-        counted = subject.stored_count == sum(subject._occupancy) + subject.stash_count
+        # the count against the view's nonzero slots and the stash lists
+        words = np.frombuffer(view, dtype="<u8")
+        slots = sum(np.count_nonzero(words >> shift & mask) for shift, mask in lanes)
+        counted = subject.stored_count == slots + sum(map(len, subject._stashes))
         payload = subject.to_bytes()
         current.append((view == CuckooFilter._table_bytes(subject, range(num_cells)), counted,
                         CuckooFilter.from_bytes(payload).to_bytes() == payload))

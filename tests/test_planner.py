@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from sckf import planner
@@ -160,6 +161,30 @@ def test_plan_request_validation():
             PlanRequest(n=100, block_size=8, failure_exponent=exponent)
     with pytest.raises(ValueError):
         PlanRequest(n=100, block_size=8, target_fp_rate=math.nan)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("failure_exponent", "x"), ("failure_exponent", None), ("failure_exponent", True),
+    ("load_slack", "x"), ("load_slack", True), ("target_fp_rate", "x"), ("target_fp_rate", False),
+])
+def test_plan_request_refuses_non_real_values(field, value):
+    # a str once reached `<` (a TypeError naming no field), and True passed as 1.0
+    with pytest.raises(TypeError, match=f"^{field} must be a real number, not {type(value).__name__}$"):
+        PlanRequest(n=100, block_size=8, **{field: value})
+
+
+@pytest.mark.parametrize("check,name,valid", [
+    (planner.check_failure_exponent, "failure_exponent", [2, np.float32(1.5)]),
+    (planner.check_load_slack, "load_slack", [np.float64(0.25), np.float32(0.25)]),
+    (planner.check_load, "load", [1, np.float32(0.5)]),
+    (planner.check_fp_rate, "target_fp_rate", [np.float64(0.01), np.float32(0.01)]),
+])
+def test_real_valued_checks_type_before_comparing(check, name, valid):
+    for value in ("0.1", None, True, False):
+        with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+            check(value)
+    for value in valid:
+        check(value)
 
 
 # -- plan composition ---------------------------------------------------------

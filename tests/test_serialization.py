@@ -290,6 +290,24 @@ def _load_or_reject(payload: bytes):
     return restored
 
 
+# counters no mutated payload's members include
+FRESH = counters(10**6, 40)
+
+
+def _write_to_loaded(restored: CuckooFilter) -> None:
+    """Inserts, deletes and queries on a loaded filter, checked against its wire table."""
+    landed = [e for e in FRESH if restored.insert(e) is not InsertOutcome.FAILED]
+    assert all(restored.query(e) for e in landed)
+    for element in landed[:5]:
+        assert restored.delete(element)
+    assert all(restored.query(e) for e in landed[5:])
+    # the count against one taken apart from the occupancy bytes: wire slots and stash lists
+    slots = sum(slot != 0 for block in wire_blocks(restored) for slot in block)
+    assert restored.stored_count == slots + sum(map(len, restored._stashes))
+    payload = restored.to_bytes()
+    assert CuckooFilter.from_bytes(payload).to_bytes() == payload
+
+
 @pytest.mark.parametrize("name", list(MUTATED_PAYLOADS))
 def test_mutated_payloads_are_rejected_or_round_trip(name):
     # every byte takes each one-bit flip, 0x00 and 0xFF; every prefix is tried
@@ -323,4 +341,5 @@ def test_mutated_payloads_are_rejected_or_round_trip(name):
                 block = (pos - HEADER_SIZE) // block_bytes
                 for element, candidates in zip(members, cells):
                     assert block in candidates or restored.query(element), (pos, value)
+            _write_to_loaded(restored)
     assert loaded > 0
