@@ -40,10 +40,14 @@ the flagged cells.  ``from_bytes`` copies the payload's table into the
 view and checks it there.  No filter builds its cell ints until its
 first scalar read or write, which builds them from the view, so a filter
 that is loaded, batch queried and saved never builds them.
-``query_many`` hashes and probes a chunk of its batch at a time and
+``query_many`` hashes and probes a chunk of 2^15 probes at a time and
 compares whole wire words: per word, the same test, spelled in place on
-the uint64 columns, checks all the lanes lying wholly inside it, and only
-a slot that straddles two words is extracted on its own.
+the gathered words, checks all the lanes lying wholly inside it, and only
+a slot that straddles two words is extracted on its own.  A batch of more
+than one chunk runs on up to one thread per usable CPU, each probing a
+contiguous run of chunks in its own five chunk-sized uint64 rows and one
+bool row (1.28 MiB per worker); the call returns only after every worker
+is joined.
 
 ``insert_hashed`` takes a global home index in [0, num_cells) and a
 fingerprint in [1, 2^fingerprint_bits - 1]; values out of range are a
@@ -67,6 +71,8 @@ A filter instance is not thread-safe for writes; concurrent experiments
 should use one instance per worker.  Batch reads refresh the view, so they
 write to the instance too, but concurrent readers with no writer stay
 safe: a refresh writes the same bytes whoever runs it (see _wire_rows).
+query_many's own worker threads only read the view, after the calling
+thread has refreshed it.
 Instances are plain Python state and move freely between threads or
 processes.
 """
@@ -75,6 +81,7 @@ import enum
 import functools
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -257,6 +264,8 @@ class _Addressing:
         self._seed_fp = hashing.derive_seed(params.seed, _STREAM_FP)
         self._seed_home = hashing.derive_seed(params.seed, _STREAM_HOME)
         self._seed_alt = hashing.derive_seed(params.seed, _STREAM_ALT)
+        # hash_many's seeds as a column, one per row of its (homes, fps) pass
+        self._seeds = np.array([[self._seed_home], [self._seed_fp]], dtype=np.uint64)
         # original-variant offsets per fingerprint: builds repeat each one ~10x
         self._alt_memo: dict[int, int] = {}
 
@@ -283,19 +292,32 @@ class _Addressing:
         checked as hashing.counter_batch documents.
         """
         values = hashing.counter_batch(values)
-        homes = hashing.remainder_in_place(hashing.hash_u64_many(values, self._seed_home), self._n_cells)
-        fps = hashing.remainder_in_place(hashing.hash_u64_many(values, self._seed_fp), self._fp_mask)
-        fps += np.uint64(1)
-        return homes, fps
+        pair = np.empty((2, values.size), dtype=np.uint64)
+        scratch = np.empty((2, min(values.size, hashing._CHUNK)), dtype=np.uint64)
+        for start in range(0, values.size, hashing._CHUNK):
+            stop = min(start + hashing._CHUNK, values.size)
+            self._hash_into(values[start:stop], pair[:, start:stop], scratch[:, : stop - start])
+        return pair[0], pair[1]
 
-    def _alt_many(self, homes: np.ndarray, fps: np.ndarray) -> np.ndarray:
-        """Element-wise _alt over uint64 arrays."""
+    def _hash_into(self, values: np.ndarray, pair: np.ndarray, scratch: np.ndarray) -> None:
+        """hash_many over a 1-D uint64 array, into the rows of pair (homes, then
+        fingerprints); scratch is a buffer of pair's shape.  Both hashes run
+        as the two rows of one pass, half the numpy calls of one per row."""
+        hashing._hash_into(values, self._seeds, pair, scratch)
+        homes, fps = pair
+        hashing._remainder_into(homes, self._n_cells, scratch[0])
+        hashing._remainder_into(fps, self._fp_mask, scratch[0])
+        fps += np.uint64(1)
+
+    def _alt_into(self, homes: np.ndarray, fps: np.ndarray, alts: np.ndarray, scratch: np.ndarray) -> None:
+        """Element-wise _alt over uint64 arrays, into alts; scratch is a buffer of their size."""
         if self._simplified:
-            return homes ^ fps
-        alts = hashing.remainder_in_place(hashing.hash_u64_many(fps, self._seed_alt), self._n_cells - 1)
+            np.bitwise_xor(homes, fps, out=alts)
+            return
+        hashing._hash_into(fps, self._seed_alt, alts, scratch)
+        hashing._remainder_into(alts, self._n_cells - 1, scratch)
         alts += np.uint64(1)
         alts ^= homes
-        return alts
 
 
 # hash_element and alt_location's addressing, derived once per FilterParams
@@ -331,7 +353,9 @@ class CuckooFilter(_Addressing):
         lows = bitmatch.word_lane_constants(self._f, params.block_size)
         self._word_lows = [np.uint64(low) for low in lows]
         self._word_highs = [np.uint64(low << self._f - 1) for low in lows]
-        self._straddling = [slot for slot in range(params.block_size) if slot * self._f % 64 + self._f > 64]
+        # (word, bit) of each slot that straddles two words
+        self._straddling = [divmod(slot * self._f, 64) for slot in range(params.block_size)
+                            if slot * self._f % 64 + self._f > 64]
         # None until the first scalar read or write; see _cell_ints
         self._cells: list[int] | None = None
         # one byte per cell: a zero-lane fullness test on the cell int instead fills ~18% slower
@@ -467,58 +491,106 @@ class CuckooFilter(_Addressing):
         """Vectorized query over 64-bit counters (8-byte LE elements).
 
         Equivalent to query(encode_u64(v)) for each v, evaluated with
-        numpy on the wire-table view one chunk of probes at a time: a
+        numpy on the wire-table view one chunk of 2^15 probes at a time: a
         chunk is hashed, its alternates computed and both cells compared,
-        so no temporary outlives its chunk and each stays in cache.  Each
+        in buffers allocated once per call, so each stays in cache.  Each
         wire word of a probed block is tested for the fingerprint in all
         of its whole lanes at once, with the lane match of bitmatch
         spelled in place; only a slot that straddles two words is extracted
         and compared on its own.
+
+        A batch of more than one chunk is split into contiguous runs of
+        chunks, one per usable CPU (``os.sched_getaffinity``) and at most
+        one per chunk: the calling thread probes the first run and one
+        thread each the others, since numpy's ufuncs and gathers release
+        the GIL.  Each worker holds five chunk-sized uint64 rows and one
+        bool row (1.28 MiB) and writes only its run's answers, so the
+        answers do not depend on the worker count.  The call returns, or
+        raises a worker's exception, only after every worker is joined.
         """
         values = hashing.counter_batch(values)
         rows = self._wire_rows()
-        table = [rows[:, word] for word in range(self._block_words)]
         hits = np.zeros(values.shape, dtype=bool)
         stash_fps = None
         if self._stash_count:
             # the stashed fingerprints: only a probe with one of them looks in its stash
             stash_fps = np.fromiter({fp for stash in self._stashes for _, fp in stash}, dtype=np.uint64)
         chunk = hashing._CHUNK
+        chunks = -(-values.size // chunk)
+        workers = min(len(os.sched_getaffinity(0)), chunks) if chunks > 1 else 1
         size = min(values.size, chunk)
-        # per word, the chunk's fingerprints repeated in each of its lanes
-        patterns = [np.empty(size, dtype=np.uint64) for _ in table]
-        flags = np.empty(size, dtype=np.uint64)
-        found = np.empty(size, dtype=np.uint64)
-        for start in range(0, values.size, chunk):
-            chunk_homes, chunk_fps = self.hash_many(values[start : start + chunk])
-            chunk_hits = hits[start : start + chunk]
-            n = chunk_homes.size
-            chunk_flags, chunk_found = flags[:n], found[:n]
-            chunk_found.fill(0)
-            for low, pattern in zip(self._word_lows, patterns):
-                np.multiply(chunk_fps, low, out=pattern[:n])
-            for cells in (chunk_homes, self._alt_many(chunk_homes, chunk_fps)):
-                # cells < 2^63: numpy indexes int64 uncast; per-word column
-                # gathers: a 2-D row gather rows[cells] is ~4x slower, and
-                # np.take(rows, cells, axis=0) ties at two words and loses at three
-                cells = cells.view(np.int64)
-                columns = [column[cells] for column in table]
-                for slot in self._straddling:
-                    chunk_hits |= self._slot_values(columns, slot) == chunk_fps
-                # then each gathered word in place: x = word ^ pattern, and
-                # (x - low) & ~x & high flags its zero (matching) lanes
-                for x, low, high, pattern in zip(columns, self._word_lows, self._word_highs, patterns):
-                    x ^= pattern[:n]
-                    np.subtract(x, low, out=chunk_flags)
-                    np.invert(x, out=x)
-                    chunk_flags &= x
-                    chunk_flags &= high
-                    chunk_found |= chunk_flags
-            chunk_hits |= chunk_found != 0
-            if stash_fps is not None:
-                for i in np.flatnonzero(np.isin(chunk_fps, stash_fps)).tolist():
-                    chunk_hits[i] |= self._stash_contains(int(chunk_homes[i]), int(chunk_fps[i]))
+        buffers = np.empty((workers, 5, size), dtype=np.uint64)
+        found = np.empty((workers, size), dtype=bool)
+        # run i is chunks [i * chunks // workers, (i + 1) * chunks // workers)
+        bounds = [run * chunks // workers * chunk for run in range(workers + 1)]
+        errors = []
+
+        def probe(run):
+            start, stop = bounds[run], bounds[run + 1]
+            try:
+                self._probe(values[start:stop], hits[start:stop], rows, buffers[run], found[run], stash_fps)
+            except BaseException as exc:  # re-raised by the calling thread after the join
+                errors.append(exc)
+
+        threads = [threading.Thread(target=probe, args=(run,)) for run in range(1, workers)]
+        try:
+            for thread in threads:
+                thread.start()
+            probe(0)
+        finally:
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join()
+        if errors:
+            raise errors[0]
         return hits
+
+    def _probe(self, values: np.ndarray, hits: np.ndarray, rows: np.ndarray, buffers: np.ndarray,
+               found: np.ndarray, stash_fps: np.ndarray | None) -> None:
+        """query_many over one run of its chunks, ORing the answers into hits.
+
+        buffers holds five uint64 rows and found is one bool row, each at
+        least a chunk long; a chunk allocates nothing else unless a probe's
+        fingerprint is stashed.  Calls no public function of the library, so
+        a tracer that wraps those records no span from a worker thread.
+        """
+        words = self._block_words
+        flat = rows.reshape(-1)
+        # word k of cell c is table[k][c * words]: gathers from a contiguous
+        # source, as np.take copies a strided column rows[:, k] on every call
+        table = [flat[word:] for word in range(words)]
+        stride = np.uint64(words)
+        for start in range(0, values.size, hashing._CHUNK):
+            chunk_values = values[start : start + hashing._CHUNK]
+            n = chunk_values.size
+            homes, fps, x, flags, alts = buffers[:, :n]
+            chunk_hits, match = hits[start : start + n], found[:n]
+            self._hash_into(chunk_values, buffers[:2, :n], buffers[2:4, :n])
+            if stash_fps is not None:
+                for i in np.flatnonzero(np.isin(fps, stash_fps)).tolist():
+                    chunk_hits[i] |= self._stash_contains(int(homes[i]), int(fps[i]))
+            self._alt_into(homes, fps, alts, x)
+            for cells in (homes, alts):
+                # cells * words < 2^63: np.take reads the uint64 rows as int64 uncast
+                cells *= stride
+                cells = cells.view(np.int64)
+                for word, shift in self._straddling:
+                    np.take(table[word], cells, out=x, mode="clip")
+                    np.take(table[word + 1], cells, out=flags, mode="clip")
+                    np.equal(self._join_straddle(x, flags, shift), fps, out=match)
+                    chunk_hits |= match
+                # then each gathered word in place: x = word ^ (fp * low), and
+                # (x - low) & ~x & high flags its zero (matching) lanes
+                for column, low, high in zip(table, self._word_lows, self._word_highs):
+                    np.take(column, cells, out=x, mode="clip")
+                    np.multiply(fps, low, out=flags)
+                    x ^= flags
+                    np.subtract(x, low, out=flags)
+                    np.invert(x, out=x)
+                    flags &= x
+                    flags &= high
+                    np.not_equal(flags, 0, out=match)
+                    chunk_hits |= match
 
     def delete(self, element: bytes) -> bool:
         """Remove exactly one stored copy; False when none is present."""
@@ -543,8 +615,11 @@ class CuckooFilter(_Addressing):
     def stored_count(self) -> int:
         """Fingerprints held, table slots plus stash entries; the table slots
         are summed off the occupancy bytes on each call, so this, len() and
-        load_factor() cost O(num_cells), ~35 µs at 2^16 cells on a Xeon core."""
-        return int(np.frombuffer(self._occupancy, np.uint8).sum()) + self._stash_count
+        load_factor() cost O(num_cells), ~35 µs at 2^16 cells on a Xeon core.
+        The sum accumulates in uint32 when the slot count fits, about half
+        the time of uint64 (235 against 465 µs at 2^20 cells)."""
+        dtype = np.uint32 if self.params.total_slots < 1 << 32 else np.uint64
+        return int(np.frombuffer(self._occupancy, np.uint8).sum(dtype=dtype)) + self._stash_count
 
     @property
     def stash_count(self) -> int:
@@ -560,18 +635,17 @@ class CuckooFilter(_Addressing):
         local = cell & self._fp_mask
         return min(local, local ^ fingerprint)
 
-    def _slot_values(self, columns: list[np.ndarray], slot: int) -> np.ndarray:
-        """One slot of many blocks given as uint64 arrays of their wire words.
+    def _join_straddle(self, low: np.ndarray, high: np.ndarray, shift: int) -> np.ndarray:
+        """A slot that starts at bit ``shift`` of one wire word and ends in the next.
 
-        ``columns[k]`` holds word k of each block; a slot that straddles a
-        word boundary is joined from both words.
+        low and high hold those two words of many blocks; the slot's values
+        are computed in low, which is returned, and high is overwritten.
         """
-        word, shift = divmod(slot * self._f, 64)
-        values = columns[word] >> np.uint64(shift)
-        if shift + self._f > 64:
-            values |= columns[word + 1] << np.uint64(64 - shift)
-        values &= np.uint64(self._fp_mask)
-        return values
+        low >>= np.uint64(shift)
+        high <<= np.uint64(64 - shift)
+        low |= high
+        low &= np.uint64(self._fp_mask)
+        return low
 
     def _remove_from_cell(self, cell: int, fingerprint: int) -> bool:
         cells = self._cells or self._cell_ints()
@@ -854,8 +928,8 @@ class CuckooFilter(_Addressing):
                 t |= x
                 t &= high
                 occupancy += np.bitwise_count(t)
-        for slot in self._straddling:
-            occupancy += self._slot_values(columns, slot) != 0
+        for word, shift in self._straddling:
+            occupancy += self._join_straddle(columns[word].copy(), columns[word + 1].copy(), shift) != 0
         self._occupancy = bytearray(occupancy.tobytes())
 
     def _load_stashes(self, data: bytes, offset: int) -> int:

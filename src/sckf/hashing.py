@@ -49,7 +49,9 @@ _MULT2_U64 = np.uint64(_MULT2)
 
 # values per chunk of the batch kernels (hash_u64_many, remainder_in_place
 # and CuckooFilter.query_many): a chunk's few working vectors, 256 KiB each
-# as uint64, stay in L2 cache
+# as uint64, stay in L2 cache.  query_many's threads hand the GIL over
+# between a chunk's ~60 numpy calls, which at 2^14 are too short to
+# outweigh the handoffs: two threads gained nothing there
 _CHUNK = 1 << 15
 
 
@@ -108,14 +110,23 @@ def hash_u64_many(values: np.ndarray, seed: int) -> np.ndarray:
     out = np.empty(values.shape, dtype=np.uint64)
     flat_values, flat_out = values.reshape(-1), out.reshape(-1)  # flat_out is a view of out
     scratch = np.empty(min(values.size, _CHUNK), dtype=np.uint64)
-    seed = np.uint64(seed)
     for start in range(0, values.size, _CHUNK):
         z = flat_out[start : start + _CHUNK]
-        np.bitwise_xor(flat_values[start : start + _CHUNK], seed, out=z)
-        _mix64_in_place(z, scratch[: z.size])
-        z ^= np.uint64(8)
-        _mix64_in_place(z, scratch[: z.size])
+        _hash_into(flat_values[start : start + _CHUNK], seed, z, scratch[: z.size])
     return out
+
+
+def _hash_into(values: np.ndarray, seed: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    """hash_u64 over a 1-D uint64 array, written to out; scratch is a buffer of out's shape.
+
+    The chunk body of hash_u64_many, allocating nothing, so that callers
+    with their own buffers (CuckooFilter.query_many's workers) hash in them.
+    seed may be a column of seeds, one per row of a 2-D out.
+    """
+    np.bitwise_xor(values, np.uint64(seed), out=out)
+    _mix64_in_place(out, scratch)
+    out ^= np.uint64(8)
+    _mix64_in_place(out, scratch)
 
 
 def _mix64_in_place(z: np.ndarray, scratch: np.ndarray) -> None:
@@ -141,18 +152,22 @@ def remainder_in_place(values: np.ndarray, divisor: int) -> np.ndarray:
     any divisor in [1, 2^64).  A power-of-two divisor, such as the cell
     count of a table with power-of-two subtables, is a mask instead.
     """
-    if not divisor & (divisor - 1):
-        values &= np.uint64(divisor - 1)
-        return values
-    divisor = np.uint64(divisor)
     quotient = np.empty(min(values.size, _CHUNK), dtype=np.uint64)
     for start in range(0, values.size, _CHUNK):
         v = values[start : start + _CHUNK]
-        q = quotient[: v.size]
-        np.floor_divide(v, divisor, out=q)
-        q *= divisor
-        v -= q
+        _remainder_into(v, divisor, quotient[: v.size])
     return values
+
+
+def _remainder_into(values: np.ndarray, divisor: int, quotient: np.ndarray) -> None:
+    """remainder_in_place's chunk body: quotient is a buffer of values' size."""
+    if not divisor & (divisor - 1):
+        values &= np.uint64(divisor - 1)
+        return
+    divisor = np.uint64(divisor)
+    np.floor_divide(values, divisor, out=quotient)
+    quotient *= divisor
+    values -= quotient
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 
@@ -479,7 +480,8 @@ def test_query_many_matches_scalar_queries():
         params = hashed.params
         subtable_cells = 1 << params.fingerprint_bits
         homes, fps = hashed.hash_many(values)
-        alts = hashed._alt_many(homes, fps)
+        alts = np.empty_like(homes)
+        hashed._alt_into(homes, fps, alts, np.empty_like(homes))
         for value, home, fp, alt in zip(values.tolist(), homes.tolist(), fps.tolist(), alts.tolist()):
             element = encode_u64(value)
             assert hashed._hash(element) == (home, fp)
@@ -503,6 +505,16 @@ def test_query_many_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * batch.nbytes, f"peak {peak / batch.nbytes:.2f}x the batch"
+
+
+def test_import_starts_no_thread_and_loads_no_executor():
+    # query_many starts its worker threads per call and joins them before
+    # it returns; importing the package starts none and loads no executor
+    # module (importing concurrent.futures alone raises a process's peak RSS
+    # by about 0.4 MiB)
+    code = "import sys, threading, sckf; print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["1", "False"]
 
 
 def test_table_past_sys_maxsize_is_a_memory_error():

@@ -251,27 +251,64 @@ CHUNK_EDGE_FILTERS = {
 
 
 @pytest.mark.parametrize("name", sorted(CHUNK_EDGE_FILTERS))
-def test_query_many_matches_scalar_across_chunk_edges(name):
+def test_query_many_matches_scalar_across_chunk_edges(name, monkeypatch):
+    # every batch size answers as scalar query on one worker and on runs of
+    # chunks split over 2, 3 and 5 (a worker per chunk at most), with no
+    # thread left behind; threads swap every microsecond, so a lost write to
+    # another worker's answers would show
     build, count = CHUNK_EDGE_FILTERS[name]
     filt = build()
     chunk = hashing._CHUNK
     # members and absent values alternate, so every chunk, the last partial
     # one included, holds probes that must answer True
-    total = 2 * chunk + 3
+    total = 5 * chunk + 3
     values = np.empty(total, dtype=np.uint64)
     values[0::2] = FILL_BASE + np.arange((total + 1) // 2, dtype=np.uint64) % np.uint64(count)
     values[1::2] = FILL_BASE + count + np.arange(total // 2, dtype=np.uint64)
     if filt.stash_count:
         values[-1] = 0  # the stashed value, in the last partial chunk
     scalar = [filt.query(encode_u64(value)) for value in values.tolist()]
-    for size in (chunk - 1, chunk, chunk + 1, total):
-        assert filt.query_many(values[:size]).tolist() == scalar[:size], size
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 5):
+            monkeypatch.setattr(filter_module.os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            for size in (chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk, 5 * chunk, total):
+                assert filt.query_many(values[:size]).tolist() == scalar[:size], (cpus, size)
+                assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
 
 
-def test_large_batch_holds_one_chunk_of_temporaries():
+@pytest.mark.parametrize("raising", ["caller", "worker"])
+def test_query_many_raises_a_probe_error_after_joining_every_worker(raising, monkeypatch):
+    filt = _b4_f12()
+    values = np.arange(3 * hashing._CHUNK, dtype=np.uint64)
+    probe = CuckooFilter._probe
+
+    def failing_probe(self, *args):
+        # the calling thread probes the first run, a worker the second
+        if (threading.current_thread() is threading.main_thread()) == (raising == "caller"):
+            raise RuntimeError(f"{raising} probe failed")
+        probe(self, *args)
+
+    monkeypatch.setattr(filter_module.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(CuckooFilter, "_probe", failing_probe)
+    threads = threading.active_count()
+    # an exception escaping a worker thread would also fail the test, as
+    # pytest's unhandled-thread-exception warning is an error here
+    with pytest.raises(RuntimeError, match=f"{raising} probe failed"):
+        filt.query_many(values)
+    assert threading.active_count() == threads
+
+
+def test_large_batch_holds_one_chunk_of_temporaries(monkeypatch):
     # at batch_scan's geometry (b=8, f=16, 65,536 cells, 100,000 members) a
-    # 2^20-probe batch needs its 1 MiB of answers and one chunk's buffers;
+    # 2^20-probe batch on two workers needs its 1 MiB of answers and per
+    # worker five chunk-sized uint64 rows and a bool row, 1.28 MiB;
     # batch-sized home and fingerprint arrays would take 8 MiB each
+    monkeypatch.setattr(filter_module.os, "sched_getaffinity", lambda pid: {0, 1})
     filt = CuckooFilter(FilterParams(capacity=100_000, block_size=8, fingerprint_bits=16))
     assert filt.insert_many(np.arange(100_000, dtype=np.uint64)) == 100_000
     loaded = CuckooFilter.from_bytes(filt.to_bytes())
@@ -282,7 +319,7 @@ def test_large_batch_holds_one_chunk_of_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20, peak
+    assert peak < 4 << 20, peak
     sample = probes[:: 1 << 12].tolist()
     assert hits[:: 1 << 12].tolist() == [filt.query(encode_u64(value)) for value in sample]
 
@@ -345,7 +382,8 @@ def test_query_many_matches_scalar_on_adversarial_lanes(block_size, fingerprint_
     for probe in probes:
         value = np.array([probe], dtype=np.uint64)
         homes, fps = empty.hash_many(value)
-        home, fp, alt = int(homes[0]), int(fps[0]), int(empty._alt_many(homes, fps)[0])
+        home, fp = int(homes[0]), int(fps[0])
+        alt = empty._alt(home, fp)
         # lanes that differ from fp in the top bit only, in the lowest bit only
         # (a borrow out of a lane below ripples through them), and in every bit;
         # each is an empty lane when it is zero
